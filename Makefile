@@ -4,7 +4,7 @@ GO ?= go
 # seconds; override BENCH_JSON_FLAGS for a full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -50,6 +50,11 @@ check: build lint race test-invariants
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench-unit vets and tests the benchmark module (perfbench/), a Go module
+# of its own that the root module's ./... patterns do not reach.
+bench-unit:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-json runs the benchmark suite and archives each experiment as a
 # machine-readable BENCH_<exp>.json artifact in the repo root.

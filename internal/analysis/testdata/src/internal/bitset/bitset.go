@@ -29,3 +29,16 @@ func (s Set) Clone() Set {
 	copy(w, s.words)
 	return Set{words: w, n: s.n}
 }
+
+// ClearAll unmarks every bit in the shared backing array.
+func (s Set) ClearAll() { clear(s.words) }
+
+// CopyFrom overwrites the shared backing array with t's words.
+func (s Set) CopyFrom(t Set) { copy(s.words, t.words) }
+
+// UnionWith ors t's words into the shared backing array.
+func (s Set) UnionWith(t Set) {
+	for i, w := range t.words {
+		s.words[i] |= w
+	}
+}

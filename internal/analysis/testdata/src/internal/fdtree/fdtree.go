@@ -16,3 +16,17 @@ func Mutate(c covers, fresh func() bitset.Set) {
 	s.Set(3)
 	s.Clear(1)
 }
+
+// MutateInPlace writes whole word arrays through aliasing temporaries.
+func MutateInPlace(c covers, fresh func() bitset.Set) {
+	c["a"].ClearAll()         // want "bitsetalias: ClearAll on a bitset obtained from a map element"
+	fresh().ClearAll()        // want "bitsetalias: ClearAll on a bitset obtained from a function result"
+	c["a"].CopyFrom(fresh())  // want "bitsetalias: CopyFrom on a bitset obtained from a map element"
+	fresh().CopyFrom(c["a"])  // want "bitsetalias: CopyFrom on a bitset obtained from a function result"
+	c["a"].UnionWith(fresh()) // want "bitsetalias: UnionWith on a bitset obtained from a map element"
+	fresh().UnionWith(c["a"]) // want "bitsetalias: UnionWith on a bitset obtained from a function result"
+	s := fresh()
+	s.ClearAll()
+	s.CopyFrom(c["a"])
+	s.UnionWith(fresh())
+}

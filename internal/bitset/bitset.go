@@ -78,6 +78,29 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// ClearAll removes every member of s in place.
+func (s Set) ClearAll() {
+	clear(s.words)
+}
+
+// CopyFrom overwrites s in place with the members of t, reusing s's words.
+func (s Set) CopyFrom(t Set) {
+	if len(s.words) != len(t.words) {
+		panic("bitset: universe mismatch")
+	}
+	copy(s.words, t.words)
+}
+
+// UnionWith adds every member of t to s in place (s ∪= t).
+func (s Set) UnionWith(t Set) {
+	if len(s.words) != len(t.words) {
+		panic("bitset: universe mismatch")
+	}
+	for i, w := range t.words {
+		s.words[i] |= w
+	}
+}
+
 // With returns a copy of s with attribute i added.
 func (s Set) With(i int) Set {
 	c := s.Clone()
@@ -227,11 +250,16 @@ func (s Set) NextSet(i int) int {
 
 // Indices returns the members of s in ascending order.
 func (s Set) Indices() []int {
-	out := make([]int, 0, s.Cardinality())
+	return s.AppendIndices(make([]int, 0, s.Cardinality()))
+}
+
+// AppendIndices appends the members of s to dst in ascending order and
+// returns the extended slice.
+func (s Set) AppendIndices(dst []int) []int {
 	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		out = append(out, i)
+		dst = append(dst, i)
 	}
-	return out
+	return dst
 }
 
 // ForEach calls fn for every member of s in ascending order. It stops early
@@ -248,11 +276,22 @@ func (s Set) ForEach(fn func(i int) bool) {
 // Two sets over the same universe have equal keys iff they are Equal. The
 // returned string aliases no mutable memory.
 func (s Set) Key() string {
+	return string(s.keyBytes()) // string() copies
+}
+
+// AppendKey appends the bytes of s.Key() to dst and returns the extended
+// slice. A map lookup through m[string(buf)] then identifies the set
+// without allocating a key string.
+func (s Set) AppendKey(dst []byte) []byte {
+	return append(dst, s.keyBytes()...)
+}
+
+// keyBytes views the words of s as bytes; the view aliases s.
+func (s Set) keyBytes() []byte {
 	if len(s.words) == 0 {
-		return ""
+		return nil
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s.words[0])), len(s.words)*8)
-	return string(b) // string() copies
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s.words[0])), len(s.words)*8)
 }
 
 // CompareCardinalityDesc is a comparison function ordering sets by

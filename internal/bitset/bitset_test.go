@@ -167,6 +167,75 @@ func TestBooleanOps(t *testing.T) {
 	}
 }
 
+// TestInPlaceOps: the in-place mutators write the receiver's own words and
+// agree with their allocating counterparts.
+func TestInPlaceOps(t *testing.T) {
+	a := FromIndices(70, 1, 2, 65)
+	b := FromIndices(70, 2, 3, 66)
+	alias := a // shares a's words
+	a.UnionWith(b)
+	if !alias.Equal(FromIndices(70, 1, 2, 3, 65, 66)) {
+		t.Fatalf("UnionWith = %v", alias)
+	}
+	a.CopyFrom(b)
+	if !alias.Equal(b) {
+		t.Fatalf("CopyFrom = %v, want %v", alias, b)
+	}
+	b.Set(0)
+	if a.Test(0) {
+		t.Fatal("CopyFrom aliased the source's words")
+	}
+	a.ClearAll()
+	if !alias.IsEmpty() || alias.Universe() != 70 {
+		t.Fatalf("ClearAll = %v over %d", alias, alias.Universe())
+	}
+	for _, fn := range []func(){
+		func() { a.CopyFrom(New(200)) },
+		func() { a.UnionWith(New(200)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on universe mismatch")
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+func TestAppendIndices(t *testing.T) {
+	s := FromIndices(130, 0, 64, 129)
+	got := s.AppendIndices([]int{-1})
+	if len(got) != 4 || got[0] != -1 || got[1] != 0 || got[2] != 64 || got[3] != 129 {
+		t.Fatalf("AppendIndices = %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = s.AppendIndices(got[:0]) }); n != 0 {
+		t.Fatalf("AppendIndices into a large enough slice allocated %v times", n)
+	}
+}
+
+func TestAppendKeyMatchesKey(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	buf := []byte("prefix")
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		s := randomSet(r, n)
+		got := s.AppendKey(buf[:6])
+		if string(got[:6]) != "prefix" || string(got[6:]) != s.Key() {
+			t.Fatalf("n=%d: AppendKey = %q, want prefix+%q", n, got, s.Key())
+		}
+	}
+	s := randomSet(r, 130)
+	seen := map[string]bool{s.Key(): true}
+	buf = s.AppendKey(buf[:0])
+	if n := testing.AllocsPerRun(100, func() {
+		buf = s.AppendKey(buf[:0])
+		_ = seen[string(buf)]
+	}); n != 0 {
+		t.Fatalf("AppendKey + map lookup allocated %v times, want 0", n)
+	}
+}
+
 func TestKeyDistinguishes(t *testing.T) {
 	a := FromIndices(70, 1, 65)
 	b := FromIndices(70, 1, 64)

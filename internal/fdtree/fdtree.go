@@ -205,14 +205,15 @@ func (n *node) isLeaf() bool {
 	return true
 }
 
+// recomputeRhsAttrs rebuilds n's subtree summary in its own words, so a
+// Remove whose path survives allocates nothing.
 func (t *Tree) recomputeRhsAttrs(n *node) {
-	acc := n.rhsFds.Clone()
+	n.rhsAttrs.CopyFrom(n.rhsFds)
 	for _, c := range n.children {
 		if c != nil {
-			acc = acc.Or(c.rhsAttrs)
+			n.rhsAttrs.UnionWith(c.rhsAttrs)
 		}
 	}
-	n.rhsAttrs = acc
 }
 
 // Node is a handle to a tree node paired with the LHS its path encodes;
@@ -229,10 +230,10 @@ func (nd Node) RhsFds() bitset.Set { return nd.n.rhsFds.Clone() }
 func (nd Node) HasFds() bool { return !nd.n.rhsFds.IsEmpty() }
 
 // SetFds replaces the marked right-hand sides of this node with valid
-// (Alg. 4 line 14). The subtree summaries stay as supersets, which keeps
-// lookups correct.
+// (Alg. 4 line 14), copying into the node's own words. The subtree
+// summaries stay as supersets, which keeps lookups correct.
 func (nd Node) SetFds(valid bitset.Set) {
-	nd.n.rhsFds = valid.Clone()
+	nd.n.rhsFds.CopyFrom(valid)
 }
 
 // Children returns handles to this node's children in ascending attribute

@@ -7,6 +7,7 @@ import (
 
 	"hyfd/internal/bitset"
 	"hyfd/internal/fd"
+	"hyfd/internal/invariant"
 )
 
 func TestAddContainsRemove(t *testing.T) {
@@ -153,6 +154,40 @@ func TestSetFds(t *testing.T) {
 	// Lookups must stay correct even with stale subtree summaries.
 	if tr.FindFdOrGeneral(bitset.FromIndices(4, 0, 3), 1) {
 		t.Fatal("stale summary produced a false positive")
+	}
+}
+
+// TestRemoveSurvivingPathAllocs pins the in-place summary repair: removing
+// an FD whose path still carries another FD, and re-adding it, allocates
+// nothing. SetFds copies into the node's own words as well.
+func TestRemoveSurvivingPathAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the armed whole-tree check allocates")
+	}
+	tr := New(70)
+	lhs := bitset.FromIndices(70, 0, 3, 66)
+	tr.Add(lhs, 1)
+	tr.Add(lhs, 68)
+	tr.Add(bitset.FromIndices(70, 0, 5), 2)
+	nodes := tr.NodeCount()
+	if n := testing.AllocsPerRun(100, func() {
+		if !tr.Remove(lhs, 68) || !tr.Add(lhs, 68) {
+			t.Fatal("remove/add round trip failed")
+		}
+	}); n != 0 {
+		t.Fatalf("Remove on a surviving path allocated %v times, want 0", n)
+	}
+	if tr.NodeCount() != nodes || tr.CountFDs() != 3 {
+		t.Fatalf("tree changed shape: %d nodes, %d FDs", tr.NodeCount(), tr.CountFDs())
+	}
+	nd := tr.GetLevel(3)[0]
+	valid := bitset.FromIndices(70, 1)
+	if n := testing.AllocsPerRun(100, func() { nd.SetFds(valid) }); n != 0 {
+		t.Fatalf("SetFds allocated %v times, want 0", n)
+	}
+	valid.Set(4)
+	if tr.ContainsFd(lhs, 4) || tr.ContainsFd(lhs, 68) || !tr.ContainsFd(lhs, 1) {
+		t.Fatal("SetFds aliased its argument or kept stale RHSs")
 	}
 }
 

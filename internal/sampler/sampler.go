@@ -7,10 +7,11 @@
 package sampler
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"hyfd/internal/bitset"
@@ -68,8 +69,13 @@ type Sampler struct {
 	queue     effQueue
 	// sorted holds, per attribute, its PLI clusters re-sorted by the
 	// neighbor-attribute keys of Fig. 3(1).
-	sorted      [][][]int32
-	seen        map[string]struct{}
+	sorted [][][]int32
+	seen   map[string]struct{}
+	// scratch holds the agree set of the sequential comparison in flight
+	// and keyBuf the Key bytes of the set markSeen looks up, so a
+	// duplicate allocates nothing.
+	scratch     bitset.Set
+	keyBuf      []byte
 	initialized bool
 	unfocused   bool
 	threads     int
@@ -125,6 +131,7 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		unfocused: cfg.Unfocused,
 		inst:      cfg.Instruments,
 		seen:      make(map[string]struct{}),
+		scratch:   bitset.New(ix.NumCols),
 	}
 }
 
@@ -211,25 +218,31 @@ func (s *Sampler) sortClusters(ctx context.Context) error {
 		if i := pos[attr]; i+1 < s.ix.NumCols {
 			right = s.ix.Order[i+1]
 		}
+		// Sort each cluster on (left id, right id, record) keys gathered
+		// once per record, so comparisons read contiguous memory. The
+		// record id makes the order total, so any sort yields the same
+		// permutation. All sorted clusters share one backing array.
+		var keys []sortKey
+		flat := make([]int32, 0, p.Size())
 		clusters := make([][]int32, len(p.Clusters))
 		for ci, cluster := range p.Clusters {
-			c := append([]int32(nil), cluster...)
-			sort.SliceStable(c, func(x, y int) bool {
+			keys = keys[:0]
+			for _, rec := range cluster {
+				k, row := sortKey{rec: rec}, s.ix.Records[rec]
 				if left >= 0 {
-					lx, ly := s.ix.Records[c[x]][left], s.ix.Records[c[y]][left]
-					if lx != ly {
-						return lx < ly
-					}
+					k.left = row[left]
 				}
 				if right >= 0 {
-					rx, ry := s.ix.Records[c[x]][right], s.ix.Records[c[y]][right]
-					if rx != ry {
-						return rx < ry
-					}
+					k.right = row[right]
 				}
-				return c[x] < c[y]
-			})
-			clusters[ci] = c
+				keys = append(keys, k)
+			}
+			slices.SortFunc(keys, compareSortKeys)
+			start := len(flat)
+			for _, k := range keys {
+				flat = append(flat, k.rec)
+			}
+			clusters[ci] = flat[start:len(flat):len(flat)]
 		}
 		s.sorted[attr] = clusters
 	}
@@ -266,6 +279,20 @@ func (s *Sampler) sortClusters(ctx context.Context) error {
 		sortAttr(attr)
 	}
 	return nil
+}
+
+// sortKey is one cluster record with its cluster ids in the two neighbor
+// attributes of the sortation (0 where a neighbor does not exist).
+type sortKey struct{ left, right, rec int32 }
+
+func compareSortKeys(x, y sortKey) int {
+	if c := cmp.Compare(x.left, y.left); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.right, y.right); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.rec, y.rec)
 }
 
 // runWindow compares every record to its (window-1)-distant successor in
@@ -313,9 +340,14 @@ func (s *Sampler) runWindow(ctx context.Context, e *efficiency, newObs *[]bitset
 }
 
 // runWindowParallel fans the clusters of one window run out over workers.
-// Workers re-check the context before every cluster; on cancellation the
-// remaining work items drain without being processed and the partial round
-// is discarded by the caller.
+// Each worker builds agree sets in one scratch set and keeps, per cluster,
+// a copy of only those that are not yet observed and that it has not kept
+// before in this window run; a worker takes clusters in ascending order, so
+// the first occurrence of every set survives. The sequential merge then walks the
+// clusters in order, keeping the observation order identical for every
+// thread count. Workers re-check the context before every cluster; on
+// cancellation the remaining work items drain without being processed and
+// the partial round is discarded by the caller.
 func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters [][]int32, newObs *[]bitset.Set) (int64, error) {
 	perCluster := make([][]bitset.Set, len(clusters))
 	var comps int64
@@ -327,6 +359,11 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 		go func() {
 			defer wg.Done()
 			local := int64(0)
+			agree := bitset.New(s.ix.NumCols)
+			var key []byte
+			// met holds the keys this worker already kept; s.seen is only
+			// read here and written by the merge after wg.Wait.
+			met := make(map[string]struct{})
 			for ci := range work {
 				if ctx.Err() != nil {
 					continue // drain the channel without working
@@ -334,15 +371,17 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 				cluster := clusters[ci]
 				var sets []bitset.Set
 				for i := 0; i+window-1 < len(cluster); i++ {
-					ra, rb := s.ix.Records[cluster[i]], s.ix.Records[cluster[i+window-1]]
-					agree := bitset.New(s.ix.NumCols)
-					for attr := range ra {
-						if ra[attr] != pli.Singleton && ra[attr] == rb[attr] {
-							agree.Set(attr)
-						}
-					}
-					sets = append(sets, agree)
+					s.agreeSet(agree, cluster[i], cluster[i+window-1])
 					local++
+					key = agree.AppendKey(key[:0])
+					if _, dup := s.seen[string(key)]; dup {
+						continue
+					}
+					if _, dup := met[string(key)]; dup {
+						continue
+					}
+					met[string(key)] = struct{}{}
+					sets = append(sets, agree.Clone())
 				}
 				perCluster[ci] = sets
 			}
@@ -362,35 +401,47 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 	s.Comparisons += comps
 	for _, sets := range perCluster {
 		for _, agree := range sets {
-			key := agree.Key()
-			if _, dup := s.seen[key]; dup {
-				continue
+			if s.markSeen(agree) {
+				*newObs = append(*newObs, agree)
 			}
-			s.seen[key] = struct{}{}
-			*newObs = append(*newObs, agree)
 		}
 	}
 	return comps, nil
 }
 
-// match compares two compressed records and records the agree-set bitset if
-// it is a new observation. Singleton cluster ids never match, mirroring
-// stripped-partition semantics.
-func (s *Sampler) match(a, b int32, newObs *[]bitset.Set) {
-	s.Comparisons++
+// agreeSet overwrites agree with the attributes on which records a and b
+// agree. Singleton cluster ids never match, mirroring stripped-partition
+// semantics.
+func (s *Sampler) agreeSet(agree bitset.Set, a, b int32) {
+	agree.ClearAll()
 	ra, rb := s.ix.Records[a], s.ix.Records[b]
-	agree := bitset.New(s.ix.NumCols)
 	for attr := range ra {
 		if ra[attr] != pli.Singleton && ra[attr] == rb[attr] {
 			agree.Set(attr)
 		}
 	}
-	key := agree.Key()
-	if _, dup := s.seen[key]; dup {
-		return
+}
+
+// match compares two compressed records and records their agree set if it
+// is a new observation. Only a new observation is copied and keyed, so a
+// duplicate comparison allocates nothing.
+func (s *Sampler) match(a, b int32, newObs *[]bitset.Set) {
+	s.Comparisons++
+	s.agreeSet(s.scratch, a, b)
+	if s.markSeen(s.scratch) {
+		*newObs = append(*newObs, s.scratch.Clone())
 	}
-	s.seen[key] = struct{}{}
-	*newObs = append(*newObs, agree)
+}
+
+// markSeen adds agree to the observations seen so far and reports whether
+// it is new. The lookup reuses keyBuf, so only a new key allocates.
+func (s *Sampler) markSeen(agree bitset.Set) bool {
+	s.keyBuf = agree.AppendKey(s.keyBuf[:0])
+	if _, dup := s.seen[string(s.keyBuf)]; dup {
+		return false
+	}
+	s.seen[string(s.keyBuf)] = struct{}{}
+	return true
 }
 
 // ObservationCount returns the number of distinct FD-violations seen so far.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -206,33 +208,123 @@ func TestProgressiveWindowingCoversClusters(t *testing.T) {
 	}
 }
 
+// TestParallelSamplingMatchesSequential: every thread count yields the same
+// comparisons and the same observations in the same order, also over a
+// universe wider than one bitset word.
 func TestParallelSamplingMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	var rows [][]string
-	for i := 0; i < 120; i++ {
-		rows = append(rows, []string{
+	narrow := func(r *rand.Rand, i int) []string {
+		return []string{
 			strconv.Itoa(r.Intn(5)), strconv.Itoa(r.Intn(4)),
 			strconv.Itoa(r.Intn(3)), strconv.Itoa(i % 11),
+		}
+	}
+	wide := func(r *rand.Rand, i int) []string {
+		row := make([]string, 70)
+		for j := range row {
+			row[j] = strconv.Itoa(r.Intn(2 + j%4))
+		}
+		row[69] = strconv.Itoa(i % 13)
+		return row
+	}
+	for _, tc := range []struct {
+		name string
+		gen  func(*rand.Rand, int) []string
+	}{{"narrow", narrow}, {"wide", wide}} {
+		name := tc.name
+		r := rand.New(rand.NewSource(19))
+		var rows [][]string
+		for i := 0; i < 120; i++ {
+			rows = append(rows, tc.gen(r, i))
+		}
+		cols := make([]string, len(rows[0]))
+		for j := range cols {
+			cols[j] = "c" + strconv.Itoa(j)
+		}
+		seq := New(buildIndex(rows, cols), Config{Threads: 1})
+		seqObs := mustRun(t, seq, nil)
+		for _, threads := range []int{2, 8} {
+			par := New(buildIndex(rows, cols), Config{Threads: threads})
+			parObs := mustRun(t, par, nil)
+			if seq.Comparisons != par.Comparisons {
+				t.Fatalf("%s, %d threads: comparison counts differ: %d vs %d", name, threads, seq.Comparisons, par.Comparisons)
+			}
+			if len(seqObs) != len(parObs) {
+				t.Fatalf("%s, %d threads: observation counts differ: %d vs %d", name, threads, len(seqObs), len(parObs))
+			}
+			for i := range seqObs {
+				if !seqObs[i].Equal(parObs[i]) {
+					t.Fatalf("%s, %d threads: observation %d differs: %v vs %v", name, threads, i, seqObs[i], parObs[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSortClustersNeighborOrder pins the focused sortation of Fig. 3(1):
+// every cluster is its PLI cluster stably sorted by the record's cluster id
+// in the left neighbor of the distinctness order, then the right one, at
+// every thread count. Tiny domains make ties on both neighbors common.
+func TestSortClustersNeighborOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var rows [][]string
+	for i := 0; i < 300; i++ {
+		rows = append(rows, []string{
+			strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(4)), strconv.Itoa(r.Intn(7)),
+			strconv.Itoa(r.Intn(20)), strconv.Itoa(r.Intn(2)),
 		})
 	}
-	ix := buildIndex(rows, []string{"A", "B", "C", "D"})
-	seq := New(ix, Config{Threads: 1})
-	seqObs := mustRun(t, seq, nil)
-
-	ix2 := buildIndex(rows, []string{"A", "B", "C", "D"})
-	par := New(ix2, Config{Threads: 8})
-	parObs := mustRun(t, par, nil)
-
-	if seq.Comparisons != par.Comparisons {
-		t.Fatalf("comparison counts differ: %d vs %d", seq.Comparisons, par.Comparisons)
-	}
-	if len(seqObs) != len(parObs) {
-		t.Fatalf("observation counts differ: %d vs %d", len(seqObs), len(parObs))
-	}
-	for i := range seqObs {
-		if !seqObs[i].Equal(parObs[i]) {
-			t.Fatalf("observation %d differs: %v vs %v", i, seqObs[i], parObs[i])
+	ix := buildIndex(rows, []string{"A", "B", "C", "D", "E"})
+	pos := ix.Rank()
+	for _, threads := range []int{1, 2} {
+		s := New(ix, Config{Threads: threads})
+		if err := s.sortClusters(context.Background()); err != nil {
+			t.Fatal(err)
 		}
+		for attr, p := range ix.Plis {
+			key := func(rec int32, i int) int32 {
+				if i < 0 || i >= ix.NumCols {
+					return 0
+				}
+				return ix.Records[rec][ix.Order[i]]
+			}
+			for ci, cluster := range p.Clusters {
+				want := append([]int32(nil), cluster...)
+				sort.SliceStable(want, func(x, y int) bool {
+					lx, ly := key(want[x], pos[attr]-1), key(want[y], pos[attr]-1)
+					if lx != ly {
+						return lx < ly
+					}
+					return key(want[x], pos[attr]+1) < key(want[y], pos[attr]+1)
+				})
+				if got := s.sorted[attr][ci]; !slices.Equal(got, want) {
+					t.Fatalf("threads=%d attr %d cluster %d: sorted %v, want %v", threads, attr, ci, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDuplicateMatchAllocs pins the reusable agree-set scratch: comparing a
+// pair whose agree set was already observed allocates nothing, and a new
+// observation does not alias the scratch.
+func TestDuplicateMatchAllocs(t *testing.T) {
+	ix := buildIndex([][]string{
+		{"1", "2", "3"},
+		{"1", "4", "3"},
+		{"1", "2", "5"},
+	}, []string{"A", "B", "C"})
+	s := New(ix, Config{Threads: 1})
+	var obs []bitset.Set
+	s.match(0, 1, &obs)
+	if n := testing.AllocsPerRun(100, func() { s.match(0, 1, &obs) }); n != 0 {
+		t.Fatalf("duplicate comparison allocated %v times, want 0", n)
+	}
+	s.match(0, 2, &obs)
+	if len(obs) != 2 || !obs[0].Equal(bitset.FromIndices(3, 0, 2)) || !obs[1].Equal(bitset.FromIndices(3, 0, 1)) {
+		t.Fatalf("observations = %v, want [{0,2} {0,1}]", obs)
+	}
+	if s.Comparisons != 103 || s.ObservationCount() != 2 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, s.ObservationCount())
 	}
 }
 

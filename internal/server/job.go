@@ -144,6 +144,10 @@ type job struct {
 	startedAt time.Time
 	doneAt    time.Time
 	done      chan struct{} // closed on reaching a terminal status
+	// admitted is closed by submit once the job is in the store with its
+	// id and queue.wait span; a worker may dequeue the job before that,
+	// so execute waits for it.
+	admitted chan struct{}
 }
 
 // expire is the deadline timer's callback: it marks the deadline as the

@@ -267,6 +267,7 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 		status:    StatusQueued,
 		createdAt: time.Now(),
 		done:      make(chan struct{}),
+		admitted:  make(chan struct{}),
 		rec:       rec,
 		root:      root,
 	}
@@ -295,6 +296,7 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 	rec.End(adm)
 	j.queueSpan = rec.Start(spanQueueWait, root)
 	s.jobs.add(j)
+	close(j.admitted)
 	s.noteQueued()
 	s.log.Info("job accepted", "job", j.id, "dataset", req.Dataset,
 		"mode", req.Mode, "queue_depth", len(s.queue))
@@ -317,6 +319,7 @@ func (s *Server) noteQueued() {
 // encode stages (and, through the observer bridge, the engine's phases) in
 // the job's flight recorder.
 func (s *Server) execute(j *job) {
+	<-j.admitted
 	defer j.cancel()
 	if !j.markRunning() {
 		// Canceled while queued; nothing to run.

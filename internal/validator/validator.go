@@ -9,7 +9,8 @@ package validator
 
 import (
 	"context"
-	"encoding/binary"
+	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -54,10 +55,12 @@ type Validator struct {
 	threshold float64
 	threads   int
 	intersect bool
-	cache     *pli.Cache
 	observer  trace.Observer
 	inst      metrics.ValidatorInstruments
 	levelFn   func(level int, valid []fd.FD) bool
+	// checkers holds one refiner per worker, built on first use and reused
+	// across levels and runs.
+	checkers []refiner
 
 	levelNumber int
 
@@ -263,15 +266,19 @@ type refiner interface {
 	refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.Pair)
 }
 
-// newRefiner builds the per-goroutine check implementation.
-func (v *Validator) newRefiner() refiner {
-	if v.intersect {
-		if v.cache == nil {
-			v.cache = pli.NewCache(v.ix.Plis, v.ix.NumRows)
+// refiners returns n check implementations, one per worker goroutine,
+// building them on first use and reusing them across levels and runs.
+// Intersection validation shares one partition cache and runs
+// sequentially, so it has a single refiner.
+func (v *Validator) refiners(n int) []refiner {
+	for len(v.checkers) < n {
+		if v.intersect {
+			v.checkers = append(v.checkers, &intersectChecker{ix: v.ix, cache: pli.NewCache(v.ix.Plis, v.ix.NumRows)})
+		} else {
+			v.checkers = append(v.checkers, newChecker(v.ix))
 		}
-		return &intersectChecker{ix: v.ix, cache: v.cache}
 	}
-	return newChecker(v.ix)
+	return v.checkers[:n]
 }
 
 // validateLevel runs refines on every node of the level, fanning out over
@@ -282,7 +289,7 @@ func (v *Validator) newRefiner() refiner {
 func (v *Validator) validateLevel(ctx context.Context, level []fdtree.Node) ([]nodeResult, error) {
 	results := make([]nodeResult, len(level))
 	if v.threads <= 1 || len(level) < 2 || v.intersect {
-		ck := v.newRefiner()
+		ck := v.refiners(1)[0]
 		for i, nd := range level {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -293,22 +300,17 @@ func (v *Validator) validateLevel(ctx context.Context, level []fdtree.Node) ([]n
 	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	workers := v.threads
-	if workers > len(level) {
-		workers = len(level)
-	}
-	for w := 0; w < workers; w++ {
+	for _, ck := range v.refiners(min(v.threads, len(level))) {
 		wg.Add(1)
-		go func() {
+		go func(ck refiner) {
 			defer wg.Done()
-			ck := newChecker(v.ix)
 			for i := range work {
 				if ctx.Err() != nil {
 					continue // drain the channel without working
 				}
 				results[i] = validateNode(ck, level[i])
 			}
-		}()
+		}(ck)
 	}
 	for i := range level {
 		work <- i
@@ -339,32 +341,64 @@ func validateNode(ck refiner, nd fdtree.Node) nodeResult {
 }
 
 // checker performs direct refinement checks (Fig. 5). One checker per
-// goroutine; it reuses its buffers across nodes to keep the hot path
-// allocation-free (refines dominates HyFD's runtime on FD-rich datasets).
+// goroutine; it reuses its buffers across clusters and nodes, so a warm
+// refines allocates only its result (refines dominates HyFD's runtime on
+// FD-rich datasets).
 type checker struct {
-	ix     *pli.Index
-	rank   []int
-	keyBuf []byte
-	// Per-cluster scratch: recs holds the representative record of each
-	// distinct LHS group, rhsArena the group's RHS cluster ids (flat,
-	// groupWidth per group).
+	ix   *pli.Index
+	rank []int
+	// key0 and key1 are the secret words of the grouping hash, drawn per
+	// checker so crafted input cannot force long probe chains. Nothing
+	// observable depends on them: groups keep first-appearance order.
+	key0, key1 uint64
+	// Attribute scratch of the node under check: its LHS, the LHS without
+	// the pivot, and the RHS candidates.
+	lhsAttrs, rest, rhsAttrs []int
+	// Per-cluster grouping scratch: recs holds the first record of each
+	// distinct LHS group in first-appearance order, rhsArena the group's
+	// RHS cluster ids (flat, one row of width ids per group), and slots an
+	// open-addressed table of group index+1 (0 = empty) keyed by the hash
+	// of the non-pivot cluster ids. A hit is confirmed against the group's
+	// first record, so no key is stored.
 	recs     []int32
 	rhsArena []int32
-	// probe/probeStamp implement an O(1) cid → group lookup for the
-	// two-attribute LHS case (one non-pivot attribute), replacing the
-	// hash map on the hottest validation levels.
-	probe      []int32
-	probeStamp []int32
-	stamp      int32
+	slots    []int32
 }
 
 func newChecker(ix *pli.Index) *checker {
+	seed := maphash.MakeSeed()
 	return &checker{
-		ix:         ix,
-		rank:       ix.Rank(),
-		probe:      make([]int32, ix.NumRows),
-		probeStamp: make([]int32, ix.NumRows),
+		ix:   ix,
+		rank: ix.Rank(),
+		key0: maphash.String(seed, "key0"),
+		key1: maphash.String(seed, "key1") | 1,
 	}
+}
+
+// mix folds one cluster id into a running group hash with wyhash's
+// multiply-and-fold step under the secret key.
+func mix(h uint64, cid int32, key uint64) uint64 {
+	hi, lo := bits.Mul64(h^uint64(uint32(cid)), key)
+	return hi ^ lo
+}
+
+// resetSlots empties a power-of-two table with at least twice as many
+// slots as a cluster of size n has records, keeping the load at most one
+// half, and returns its index mask. Without non-pivot attributes every
+// record falls into one group, so one slot suffices.
+func (ck *checker) resetSlots(n int) uint64 {
+	size := 1
+	if len(ck.rest) > 0 {
+		for size < 2*n {
+			size <<= 1
+		}
+	}
+	if cap(ck.slots) < size {
+		ck.slots = make([]int32, size)
+	}
+	ck.slots = ck.slots[:size]
+	clear(ck.slots)
+	return uint64(size - 1)
 }
 
 // refines reports which RHS attributes are functionally determined by lhs,
@@ -372,10 +406,10 @@ func newChecker(ix *pli.Index) *checker {
 // pivot PLI. It also returns record pairs witnessing violations.
 func (ck *checker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.Pair) {
 	ix := ck.ix
-	lhsAttrs := lhs.Indices()
+	ck.lhsAttrs = lhs.AppendIndices(ck.lhsAttrs[:0])
 
 	// Level 0: ∅ → A holds iff column A is constant.
-	if len(lhsAttrs) == 0 {
+	if len(ck.lhsAttrs) == 0 {
 		valid := bitset.New(ix.NumCols)
 		var suggestions []pli.Pair
 		rhss.ForEach(func(rhs int) bool {
@@ -392,127 +426,94 @@ func (ck *checker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.P
 
 	// Pivot: the LHS attribute with the most clusters (lowest rank in the
 	// descending-distinctness order), i.e. the smallest clusters to scan.
-	pivot := lhsAttrs[0]
-	for _, a := range lhsAttrs[1:] {
+	pivot := ck.lhsAttrs[0]
+	for _, a := range ck.lhsAttrs[1:] {
 		if ck.rank[a] < ck.rank[pivot] {
 			pivot = a
 		}
 	}
-	rest := make([]int, 0, len(lhsAttrs)-1)
-	for _, a := range lhsAttrs {
+	ck.rest = ck.rest[:0]
+	for _, a := range ck.lhsAttrs {
 		if a != pivot {
-			rest = append(rest, a)
+			ck.rest = append(ck.rest, a)
 		}
 	}
-	rhsAttrs := rhss.Indices()
+	ck.rhsAttrs = rhss.AppendIndices(ck.rhsAttrs[:0])
+	rest, rhsAttrs := ck.rest, ck.rhsAttrs
 
 	valid := rhss.Clone()
 	remaining := len(rhsAttrs)
 	var suggestions []pli.Pair
 	width := len(rhsAttrs)
 
-	// checkAgainst compares the record's RHS cluster ids against the group
-	// entry at index gi; it returns false when every RHS is invalidated.
-	checkAgainst := func(gi int, rec int32, row []int32) bool {
-		groupRhss := ck.rhsArena[gi*width : (gi+1)*width]
-		violated := false
-		for i, a := range rhsAttrs {
-			if !valid.Test(a) {
-				continue
-			}
-			// A Singleton RHS id means a unique value, which never agrees.
-			cid := row[a]
-			if cid == pli.Singleton || cid != groupRhss[i] {
-				valid.Clear(a)
-				remaining--
-				violated = true
-			}
-		}
-		if violated {
-			suggestions = append(suggestions, pli.Pair{A: ck.recs[gi], B: rec})
-			if remaining == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	addGroup := func(rec int32, row []int32) int {
-		gi := len(ck.recs)
-		ck.recs = append(ck.recs, rec)
-		for _, a := range rhsAttrs {
-			ck.rhsArena = append(ck.rhsArena, row[a])
-		}
-		return gi
-	}
-
-	if len(rest) == 0 {
-		// Fast path (common at level 1): the whole cluster is one LHS
-		// group; compare everyone against the first record.
-		for _, cluster := range ix.Plis[pivot].Clusters {
-			ck.recs, ck.rhsArena = ck.recs[:0], ck.rhsArena[:0]
-			addGroup(cluster[0], ix.Records[cluster[0]])
-			for _, rec := range cluster[1:] {
-				if !checkAgainst(0, rec, ix.Records[rec]) {
-					return valid, suggestions
-				}
-			}
-		}
-		return valid, suggestions
-	}
-
-	if len(rest) == 1 {
-		// Two-attribute LHS: the non-pivot cluster id is the group key;
-		// a stamped probe array replaces the hash map.
-		a0 := rest[0]
-		for _, cluster := range ix.Plis[pivot].Clusters {
-			ck.recs, ck.rhsArena = ck.recs[:0], ck.rhsArena[:0]
-			ck.stamp++
-			for _, rec := range cluster {
-				row := ix.Records[rec]
-				cid := row[a0]
-				if cid == pli.Singleton {
-					continue // unique in the LHS
-				}
-				if ck.probeStamp[cid] != ck.stamp {
-					ck.probeStamp[cid] = ck.stamp
-					ck.probe[cid] = int32(addGroup(rec, row))
-					continue
-				}
-				if !checkAgainst(int(ck.probe[cid]), rec, row) {
-					return valid, suggestions
-				}
-			}
-		}
-		return valid, suggestions
-	}
-
 	for _, cluster := range ix.Plis[pivot].Clusters {
 		ck.recs, ck.rhsArena = ck.recs[:0], ck.rhsArena[:0]
-		seen := make(map[string]int, len(cluster))
-	recordLoop:
+		mask := ck.resetSlots(len(cluster))
+	records:
 		for _, rec := range cluster {
 			row := ix.Records[rec]
-			// Build the LHS key from the non-pivot attributes; a singleton
-			// makes the record unique in the LHS, so it cannot collide.
-			ck.keyBuf = ck.keyBuf[:0]
+			// Hash the non-pivot cluster ids; a singleton makes the record
+			// unique in the LHS, so it joins no group.
+			h := ck.key0
 			for _, a := range rest {
 				cid := row[a]
 				if cid == pli.Singleton {
-					continue recordLoop
+					continue records
 				}
-				ck.keyBuf = binary.LittleEndian.AppendUint32(ck.keyBuf, uint32(cid))
+				h = mix(h, cid, ck.key1)
 			}
-			gi, ok := seen[string(ck.keyBuf)] // no alloc on lookup
-			if !ok {
-				seen[string(ck.keyBuf)] = addGroup(rec, row)
+			// Linear probing: stop at the record's group or an empty slot.
+			slot := h & mask
+			gi := -1
+			for g := ck.slots[slot]; g != 0; g = ck.slots[slot] {
+				if sameGroup(ix.Records[ck.recs[g-1]], row, rest) {
+					gi = int(g - 1)
+					break
+				}
+				slot = (slot + 1) & mask
+			}
+			if gi < 0 {
+				ck.slots[slot] = int32(len(ck.recs)) + 1
+				ck.recs = append(ck.recs, rec)
+				for _, a := range rhsAttrs {
+					ck.rhsArena = append(ck.rhsArena, row[a])
+				}
 				continue
 			}
-			if !checkAgainst(gi, rec, row) {
-				return valid, suggestions
+			// Compare the record's RHS cluster ids against its group's.
+			groupRhss := ck.rhsArena[gi*width : (gi+1)*width]
+			violated := false
+			for i, a := range rhsAttrs {
+				if !valid.Test(a) {
+					continue
+				}
+				// A Singleton RHS id means a unique value, which never agrees.
+				cid := row[a]
+				if cid == pli.Singleton || cid != groupRhss[i] {
+					valid.Clear(a)
+					remaining--
+					violated = true
+				}
+			}
+			if violated {
+				suggestions = append(suggestions, pli.Pair{A: ck.recs[gi], B: rec})
+				if remaining == 0 {
+					return valid, suggestions
+				}
 			}
 		}
 	}
 	return valid, suggestions
+}
+
+// sameGroup reports whether two records agree on every attribute of rest.
+func sameGroup(a, b []int32, rest []int) bool {
+	for _, attr := range rest {
+		if a[attr] != b[attr] {
+			return false
+		}
+	}
+	return true
 }
 
 // constantViolation extracts a witness pair for a non-constant column: two

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/datasets"
 	"hyfd/internal/fd"
 	"hyfd/internal/fdtree"
 	"hyfd/internal/inductor"
@@ -140,43 +142,125 @@ func TestRefinesEmptyLhs(t *testing.T) {
 	}
 }
 
+// randomNullRelation is randomRelation with a share of Null cells.
+func randomNullRelation(r *rand.Rand, rows, cols, domain int, nullRate float64) *relation.Relation {
+	rel := randomRelation(r, rows, cols, domain)
+	for _, row := range rel.Rows {
+		for j := range row {
+			if r.Float64() < nullRate {
+				row[j] = relation.Null
+			}
+		}
+	}
+	return rel
+}
+
+// equalUnder reports whether two cells are equal under the null semantics.
+func equalUnder(ns relation.NullSemantics, x, y string) bool {
+	return x == y && (x != relation.Null || ns == relation.NullEqualsNull)
+}
+
+// checkWitnesses reports the first suggestion that is not a real witness:
+// the two records must agree on every LHS attribute and differ on some RHS
+// that came back invalid.
+func checkWitnesses(rel *relation.Relation, ns relation.NullSemantics, lhs, rhss, valid bitset.Set, suggestions []pli.Pair) (pli.Pair, bool) {
+	for _, p := range suggestions {
+		ra, rb := rel.Rows[p.A], rel.Rows[p.B]
+		ok := p.A != p.B
+		lhs.ForEach(func(a int) bool {
+			ok = ok && equalUnder(ns, ra[a], rb[a])
+			return ok
+		})
+		differs := false
+		rhss.AndNot(valid).ForEach(func(rhs int) bool {
+			differs = !equalUnder(ns, ra[rhs], rb[rhs])
+			return !differs
+		})
+		if !ok || !differs {
+			return p, false
+		}
+	}
+	return pli.Pair{}, true
+}
+
 // TestQuickRefinesMatchesHolds: the direct refinement check must agree with
-// the definitional FD check on random relations and random candidates.
+// the definitional FD check on random relations and random candidates, and
+// every suggestion must witness a violation. Universes run past 64 columns
+// (two-word bitsets), both null semantics are covered, and tiny domains make
+// probe collisions in the grouping table common. A second checker whose
+// hash sends every record to one slot must return the same result, so
+// nothing observable depends on the hash.
 func TestQuickRefinesMatchesHolds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		rel := randomRelation(r, 1+r.Intn(40), 2+r.Intn(5), 1+r.Intn(4))
-		ix := pli.NewIndex(rel, relation.NullEqualsNull)
-		ck := newChecker(ix)
-		m := rel.NumCols()
+		cols := 2 + r.Intn(5)
+		if r.Intn(3) == 0 {
+			cols = 65 + r.Intn(16)
+		}
+		ns := relation.NullSemantics(r.Intn(2))
+		rel := randomNullRelation(r, 1+r.Intn(40), cols, 1+r.Intn(4), 0.1)
+		ix := pli.NewIndex(rel, ns)
+		ck, collide := newChecker(ix), newChecker(ix)
+		collide.key0, collide.key1 = 0, 0
 		for trial := 0; trial < 10; trial++ {
-			lhs := bitset.New(m)
-			for a := 0; a < m; a++ {
-				if r.Intn(3) == 0 {
-					lhs.Set(a)
-				}
-			}
+			lhs := bitset.FromIndices(cols, r.Perm(cols)[:r.Intn(min(cols, 6))]...)
 			rhss := lhs.Flip()
-			if rhss.IsEmpty() {
-				continue
-			}
-			valid, _ := ck.refines(lhs, rhss)
+			valid, suggestions := ck.refines(lhs, rhss)
 			ok := true
 			rhss.ForEach(func(rhs int) bool {
-				if valid.Test(rhs) != fd.Holds(rel, relation.NullEqualsNull, lhs, rhs) {
+				if valid.Test(rhs) != fd.Holds(rel, ns, lhs, rhs) {
+					t.Errorf("seed %d: %v -> %d: refines %v, Holds disagrees", seed, lhs, rhs, valid.Test(rhs))
 					ok = false
-					return false
 				}
-				return true
+				return ok
 			})
+			if p, good := checkWitnesses(rel, ns, lhs, rhss, valid, suggestions); !good {
+				t.Errorf("seed %d: LHS %v: suggestion %+v is no witness", seed, lhs, p)
+				ok = false
+			}
+			valid2, suggestions2 := collide.refines(lhs, rhss)
+			if !valid2.Equal(valid) || !slices.Equal(suggestions2, suggestions) {
+				t.Errorf("seed %d: LHS %v: colliding hash changed the result", seed, lhs)
+				ok = false
+			}
 			if !ok {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefinesAllocs pins the reusable grouping table: a warm refines on a
+// 3-attribute LHS allocates its result only, however many pivot clusters
+// there are.
+func TestRefinesAllocs(t *testing.T) {
+	allocs := func(pivotDomain int) float64 {
+		r := rand.New(rand.NewSource(int64(pivotDomain)))
+		rel := relation.New("t", []string{"a", "b", "c", "d", "e"})
+		for i := 0; i < 2000; i++ {
+			a, b, c := i%pivotDomain, r.Intn(3), r.Intn(3)
+			rel.AppendRow([]string{strconv.Itoa(a), strconv.Itoa(b), strconv.Itoa(c),
+				strconv.Itoa((a + 2*b + c) % 5), strconv.Itoa(b * c)})
+		}
+		ix := pli.NewIndex(rel, relation.NullEqualsNull)
+		if got := len(ix.Plis[0].Clusters); got != pivotDomain {
+			t.Fatalf("pivot has %d clusters, want %d", got, pivotDomain)
+		}
+		ck := newChecker(ix)
+		lhs, rhss := bitset.FromIndices(5, 0, 1, 2), bitset.FromIndices(5, 3, 4)
+		valid, suggestions := ck.refines(lhs, rhss)
+		if !valid.Equal(rhss) || len(suggestions) != 0 {
+			t.Fatalf("valid = %v, suggestions = %v; want both FDs to hold", valid, suggestions)
+		}
+		return testing.AllocsPerRun(50, func() { ck.refines(lhs, rhss) })
+	}
+	few, many := allocs(4), allocs(400)
+	if few != many || many > 1 {
+		t.Fatalf("refines allocated %v times over 4 pivot clusters and %v over 400, want the same single allocation", few, many)
 	}
 }
 
@@ -346,16 +430,60 @@ func BenchmarkValidatorExhaustive(b *testing.B) {
 	}
 }
 
+// refinesSink keeps benchmarked results alive.
+var refinesSink bitset.Set
+
+// recorder captures the refines calls of a validation run, so benchmarks
+// can replay the candidate mix of real levels.
+type recorder struct {
+	refiner
+	calls []refinesCall
+}
+
+type refinesCall struct{ lhs, rhss bitset.Set }
+
+func (r *recorder) refines(lhs, rhss bitset.Set) (bitset.Set, []pli.Pair) {
+	r.calls = append(r.calls, refinesCall{lhs.Clone(), rhss.Clone()})
+	return r.refiner.refines(lhs, rhss)
+}
+
+// BenchmarkRefines replays the nodes an exhaustive validation visits on a
+// 1000-row analog of letter (17 low-cardinality columns), one sub-benchmark
+// per LHS size: 1 scans whole pivot clusters as one group, 2 and more group
+// records by their non-pivot cluster ids. One op validates one node.
 func BenchmarkRefines(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	rel := randomRelation(r, 5000, 10, 8)
+	ds, err := datasets.ByName("letter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := ds.Generate(0.05)
 	ix := pli.NewIndex(rel, relation.NullEqualsNull)
-	ck := newChecker(ix)
-	lhs := bitset.FromIndices(10, 1, 3, 5)
-	rhss := lhs.Flip()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ck.refines(lhs, rhss)
+	rec := &recorder{refiner: newChecker(ix)}
+	v := New(ix, fdtree.New(rel.NumCols()))
+	v.tree.AddRhss(bitset.New(rel.NumCols()), bitset.New(rel.NumCols()).Flip())
+	v.checkers = []refiner{rec}
+	run(b, v, true)
+	for _, size := range []int{1, 2, 3, 5} {
+		var calls []refinesCall
+		for _, c := range rec.calls {
+			if c.lhs.Cardinality() == size {
+				calls = append(calls, c)
+			}
+		}
+		b.Run("lhs="+strconv.Itoa(size), func(b *testing.B) {
+			if len(calls) == 0 {
+				b.Skip("no nodes at this level")
+			}
+			ck := newChecker(ix)
+			for _, c := range calls { // warm the scratch buffers
+				ck.refines(c.lhs, c.rhss)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := calls[i%len(calls)]
+				refinesSink, _ = ck.refines(c.lhs, c.rhss)
+			}
+		})
 	}
 }
