@@ -4,7 +4,7 @@ GO ?= go
 # seconds; override BENCH_JSON_FLAGS for a full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -78,6 +78,13 @@ fuzz-smoke-ranked:
 # both null semantics and two thread counts.
 fuzz-smoke-incremental:
 	$(GO) test -fuzz=FuzzIncrementalDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
+
+# fuzz-smoke-validator runs the Phase 2 differential fuzzer: the validator,
+# started from the agree sets of a fuzzed subset of record pairs and run to
+# completion, must leave exactly the brute-force cover, under both null
+# semantics and two thread counts.
+fuzz-smoke-validator:
+	$(GO) test -fuzz=FuzzValidatorDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
 
 # serve-smoke is the end-to-end daemon exercise: build hyfdd, start it,
 # register a CSV, run one job per mode (fd/afd/ucc/ranked), POST a delta

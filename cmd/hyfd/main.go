@@ -86,6 +86,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hyfd: invalid -threads %d: must be 0 (all CPUs) or positive\n", *threads)
 		os.Exit(2)
 	}
+	comma := []rune(*sep)
+	if len(comma) != 1 {
+		fmt.Fprintf(os.Stderr, "hyfd: invalid -sep %q: must be a single character\n", *sep)
+		os.Exit(2)
+	}
 	if *topK < 0 || *minScore < 0 {
 		fmt.Fprintln(os.Stderr, "hyfd: -top-k and -min-score must be >= 0")
 		os.Exit(2)
@@ -142,7 +147,7 @@ func main() {
 	}
 
 	csvOpts := hyfd.CSVOptions{
-		Comma:       []rune(*sep)[0],
+		Comma:       comma[0],
 		HasHeader:   !*noHeader,
 		EmptyIsNull: true,
 		NullLiteral: *nullLiteral,
@@ -277,8 +282,8 @@ func main() {
 		}
 		if s := result.Stats; s != nil {
 			fmt.Fprintf(os.Stderr, "phase switches: %d, sampling rounds: %d\n", s.PhaseSwitches, s.SamplingRounds)
-			fmt.Fprintf(os.Stderr, "comparisons: %d, validations: %d, observations: %d\n",
-				s.Comparisons, s.Validations, s.Observations)
+			fmt.Fprintf(os.Stderr, "comparisons: %d (all pairs: %t), validations: %d, observations: %d\n",
+				s.Comparisons, s.AllPairs, s.Validations, s.Observations)
 			if s.TotalTime > 0 {
 				fmt.Fprintf(os.Stderr, "time: %s total (preprocessing %s, sampling %s, validation %s)\n",
 					s.TotalTime.Round(time.Millisecond), s.PreprocessingTime.Round(time.Millisecond),

@@ -127,6 +127,19 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("sep flag validated", func(t *testing.T) {
+		for _, sep := range []string{"", "ab"} {
+			out, err := exec.Command(bin, "-sep", sep, csv).CombinedOutput()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+				t.Fatalf("-sep %q: exit = %v, want code 2\n%s", sep, err, out)
+			}
+			if msg := strings.TrimSpace(string(out)); strings.Count(msg, "\n") != 0 || !strings.Contains(msg, "invalid -sep") {
+				t.Fatalf("-sep %q: want a one-line -sep diagnostic, got:\n%s", sep, out)
+			}
+		}
+	})
+
 	t.Run("threads counts agree", func(t *testing.T) {
 		// 0 (all CPUs), 1 (sequential) and 8 must print the identical FD
 		// listing — the CLI face of the engine's determinism contract.

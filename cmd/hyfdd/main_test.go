@@ -94,6 +94,10 @@ func runJob(t *testing.T, base, body string) jobView {
 		if code != http.StatusOK {
 			t.Fatalf("poll: status %d: %s", code, data)
 		}
+		// Decode every poll into a fresh view: decoding into the previous
+		// one would keep fields the final document omits, such as the
+		// partial flag of a ranked prefix seen mid-run.
+		view = jobView{}
 		if err := json.Unmarshal(data, &view); err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,12 @@ import (
 	"testing"
 
 	"hyfd"
+	"hyfd/internal/bitset"
 	"hyfd/internal/fd"
+	"hyfd/internal/inductor"
+	"hyfd/internal/pli"
 	"hyfd/internal/rank"
+	"hyfd/internal/validator"
 )
 
 // fuzzRelation shapes a small relation from raw fuzz bytes: the first two
@@ -78,6 +82,69 @@ func FuzzDiscoverDifferential(f *testing.F) {
 					t.Fatalf("ns=%v threads=%d rows=%d cols=%d:\nmissing: %v\nextra: %v",
 						ns, threads, rel.NumRows(), rel.NumCols(),
 						want.Diff(res.Set), res.Set.Diff(want))
+				}
+			}
+		}
+	})
+}
+
+// FuzzValidatorDifferential keeps Phase 2 under the brute-force oracle,
+// which the whole-engine fuzzers reach less often because inputs whose
+// sampling compares every record pair finish without it. It induces the
+// agree sets of a fuzz-chosen subset of record pairs — bit k of mask picks
+// the k-th pair (a, b), a < b, in record order; missing bytes pick none —
+// so the validator starts from anything between the most general
+// candidates and the exact cover. Validation then runs to completion, and
+// the tree's FDs must equal fd.BruteForce, under both null semantics and at
+// two thread counts.
+func FuzzValidatorDifferential(f *testing.F) {
+	// Mixed shape with nulls, every pair induced.
+	f.Add([]byte{3, 8, 0, 1, 2, 6, 1, 13, 2, 1, 0, 255, 20, 4}, []byte{255, 255, 255, 255})
+	// The same relation with no pair induced: validation starts from ∅ → A.
+	f.Add([]byte{3, 8, 0, 1, 2, 6, 1, 13, 2, 1, 0, 255, 20, 4}, []byte{})
+	// Every other pair induced.
+	f.Add([]byte{4, 10, 0, 1, 2, 3, 0, 1, 1, 2, 3, 0, 2, 1, 6, 3}, []byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55})
+	// Constant column and degenerate shapes.
+	f.Add([]byte{1, 4, 0, 0, 0, 1, 0, 2, 0, 3}, []byte{1})
+	f.Add([]byte{5, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, data, mask []byte) {
+		rel := fuzzRelation(data)
+		if rel == nil {
+			return
+		}
+		for _, ns := range []hyfd.NullSemantics{hyfd.NullEqualsNull, hyfd.NullNotEqualsNull} {
+			var agreeSets []bitset.Set
+			k := 0
+			for a := range rel.Rows {
+				for b := a + 1; b < len(rel.Rows); b, k = b+1, k+1 {
+					if k/8 >= len(mask) || mask[k/8]>>(k%8)&1 == 0 {
+						continue
+					}
+					agree := bitset.New(rel.NumCols())
+					for c, v := range rel.Rows[a] {
+						if v == rel.Rows[b][c] && (v != hyfd.Null || ns == hyfd.NullEqualsNull) {
+							agree.Set(c)
+						}
+					}
+					agreeSets = append(agreeSets, agree)
+				}
+			}
+			want := fd.BruteForce(rel, ns)
+			ix := pli.NewIndex(rel, ns)
+			for _, threads := range []int{1, 3} {
+				ind := inductor.New(rel.NumCols())
+				ind.Update(agreeSets)
+				res, err := validator.New(ix, ind.Tree(), validator.WithThreads(threads)).Run(context.Background(), true)
+				if err != nil {
+					t.Fatalf("ns=%v threads=%d: %v", ns, threads, err)
+				}
+				if !res.Done {
+					t.Fatalf("ns=%v threads=%d: exhaustive validation stopped early", ns, threads)
+				}
+				if got := ind.Tree().FDs(); !got.Equal(want) {
+					t.Fatalf("ns=%v threads=%d rows=%d cols=%d pairs=%d:\nmissing: %v\nextra: %v",
+						ns, threads, rel.NumRows(), rel.NumCols(), len(agreeSets),
+						want.Diff(got), got.Diff(want))
 				}
 			}
 		}

@@ -108,6 +108,10 @@ type Stats struct {
 	// PreprocessingTime then covers only the (near-zero) reuse overhead,
 	// not the amortized build cost (see dataset.Dataset.PreprocessingTime).
 	Warm bool `json:"warm,omitempty"`
+	// AllPairs is true when the sampler spent its budget of n(n-1)/2
+	// comparisons and then compared every record pair; a full-cover run
+	// then returns the induced cover without (further) validation.
+	AllPairs bool `json:"all_pairs,omitempty"`
 
 	// Wall-clock per-phase timings, sourced from the run's trace events:
 	// PreprocessingTime covers PLI and compressed-record construction,
@@ -131,6 +135,7 @@ func (t statsTimers) Observe(e trace.Event) {
 		t.stats.PreprocessingTime = ev.Duration
 	case trace.SamplingRound:
 		t.stats.SamplingTime += ev.Duration
+		t.stats.AllPairs = t.stats.AllPairs || ev.AllPairs
 	case trace.ValidationLevel:
 		t.stats.ValidationTime += ev.Duration
 	case trace.Done:
@@ -353,9 +358,24 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 			Comparisons:     smp.Comparisons,
 			Windows:         smp.Windows,
 			Threshold:       smp.Threshold(),
+			AllPairs:        smp.AllPairs(),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(roundStart),
 		})
+		// Once the sampler has compared every record pair, the induced
+		// tree is final, in any round. Every agree set is then in the
+		// negative cover, and induction removed each LHS contained in an
+		// agree set that misses its RHS. Every LHS added later, by the
+		// inductor or the validator, extends an LHS that was in the tree,
+		// so by induction on LHS size no LHS contained in a processed
+		// agree set returns: every candidate left is valid. The tree stays
+		// an antichain that holds a generalization of every valid FD, so
+		// every candidate is also minimal. Under a MaxLhsSize or Guardian
+		// bound it holds exactly the minimal FDs up to that bound, as
+		// Fdep's does.
+		if smp.AllPairs() {
+			break
+		}
 		trace.Emit(obs, trace.PhaseSwitch{
 			From: trace.PhaseSampling, To: trace.PhaseValidation,
 			Switches: stats.PhaseSwitches,

@@ -9,8 +9,10 @@ import (
 	"testing/quick"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/datasets"
 	"hyfd/internal/fd"
 	"hyfd/internal/relation"
+	"hyfd/internal/trace"
 )
 
 func randomRelation(r *rand.Rand, rows, cols, domain int) *relation.Relation {
@@ -296,6 +298,100 @@ func TestDiscoverStatsTelemetry(t *testing.T) {
 	}
 	if stats.MaxLhs != rel.NumCols() {
 		t.Fatalf("MaxLhs = %d", stats.MaxLhs)
+	}
+}
+
+// cutCover returns the FDs of set whose LHS has at most maxLhs attributes.
+func cutCover(set *fd.Set, numCols, maxLhs int) *fd.Set {
+	out := fd.NewSet(numCols)
+	for _, f := range set.All() {
+		if f.Lhs.Cardinality() <= maxLhs {
+			out.Add(f)
+		}
+	}
+	return out
+}
+
+// TestDiscoverAllPairsSkipsValidation: on tables whose sampling spends the
+// n(n-1)/2 budget, the sampler compares every pair in round 1 and the run
+// returns the induced cover without validating anything. The cover is
+// exact, under both null semantics and under an LHS bound.
+func TestDiscoverAllPairsSkipsValidation(t *testing.T) {
+	for _, name := range []string{"bridges", "echocardiogram"} {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := d.Generate(1)
+		for _, tc := range []struct {
+			ns     relation.NullSemantics
+			maxLhs int
+		}{{relation.NullEqualsNull, 0}, {relation.NullNotEqualsNull, 0}, {relation.NullEqualsNull, 2}} {
+			var events []trace.Event
+			got, stats, err := Discover(context.Background(), rel, Config{
+				NullSemantics: tc.ns, MaxLhsSize: tc.maxLhs, Threads: 1,
+				Observer: trace.ObserverFunc(func(e trace.Event) { events = append(events, e) }),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fd.BruteForce(rel, tc.ns)
+			if tc.maxLhs > 0 {
+				want = cutCover(want, rel.NumCols(), tc.maxLhs)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s %v max-lhs %d:\nmissing: %v\nextra: %v", name, tc.ns, tc.maxLhs, want.Diff(got), got.Diff(want))
+			}
+			if !stats.AllPairs || stats.Validations != 0 || stats.SamplingRounds != 1 || stats.ValidationTime != 0 {
+				t.Fatalf("%s %v max-lhs %d: stats %+v, want all pairs in round 1 and no validation", name, tc.ns, tc.maxLhs, stats)
+			}
+			for _, e := range events {
+				if _, ok := e.(trace.PhaseSwitch); ok {
+					t.Fatalf("%s %v max-lhs %d: phase switch %+v after the pass over all pairs", name, tc.ns, tc.maxLhs, e)
+				}
+			}
+		}
+	}
+}
+
+// TestDiscoverAllPairsInRoundTwo pins a table whose first round stops
+// below the budget of 3 pairs: level 0 fails validation, and the replayed
+// suggestions reach the budget, so round 2 compares all pairs and the run
+// returns the induced cover without validating level 1.
+func TestDiscoverAllPairsInRoundTwo(t *testing.T) {
+	rel := relation.New("round2", []string{"A", "B", "C", "D", "E", "F"})
+	rel.AppendRow([]string{"4", "1", "5", "2", "1", "4"})
+	rel.AppendRow([]string{"5", "1", "4", "2", "3", "5"})
+	rel.AppendRow([]string{"2", "0", "3", "3", "5", "1"})
+	for _, threads := range []int{1, 2} {
+		var rounds []trace.SamplingRound
+		var last trace.Event
+		got, stats, err := Discover(context.Background(), rel, Config{
+			Threads: threads,
+			Observer: trace.ObserverFunc(func(e trace.Event) {
+				if r, ok := e.(trace.SamplingRound); ok {
+					rounds = append(rounds, r)
+				}
+				if _, ok := e.(trace.Done); !ok {
+					last = e
+				}
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fd.BruteForce(rel, relation.NullEqualsNull); !got.Equal(want) {
+			t.Fatalf("threads=%d:\nmissing: %v\nextra: %v", threads, want.Diff(got), got.Diff(want))
+		}
+		if len(rounds) != 2 || rounds[0].AllPairs || !rounds[1].AllPairs || rounds[0].Comparisons >= 3 {
+			t.Fatalf("threads=%d: rounds %+v, want the first below the budget and the second over all pairs", threads, rounds)
+		}
+		if _, ok := last.(trace.SamplingRound); !ok {
+			t.Fatalf("threads=%d: last event before Done is %T, want the final sampling round", threads, last)
+		}
+		if !stats.AllPairs || stats.PhaseSwitches != 1 || stats.Validations != 1 || stats.Comparisons != 7 {
+			t.Fatalf("threads=%d: stats %+v, want all pairs, 1 switch, 1 validation, 7 comparisons", threads, stats)
+		}
 	}
 }
 

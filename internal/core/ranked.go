@@ -188,6 +188,7 @@ func runRanked(ctx context.Context, ix *pli.Index, cfg Config, threads, topK int
 			Comparisons:     smp.Comparisons,
 			Windows:         smp.Windows,
 			Threshold:       smp.Threshold(),
+			AllPairs:        smp.AllPairs(),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(roundStart),
 		})

@@ -34,6 +34,12 @@ type CSVOptions struct {
 // configured (the default resolves to the number of CPUs) the input is
 // split into record-aligned chunks that parse concurrently.
 func ReadCSV(name string, rd io.Reader, opts CSVOptions) (*Relation, error) {
+	// An invalid separator fails before either parser reads, so both report
+	// the same error whatever the input (the parallel reader would
+	// otherwise never parse an empty input and report it as empty).
+	if err := checkComma(opts.Comma); err != nil {
+		return nil, fmt.Errorf("relation %q: %w", name, err)
+	}
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -42,6 +48,20 @@ func ReadCSV(name string, rd io.Reader, opts CSVOptions) (*Relation, error) {
 		return readCSVParallel(name, rd, opts, threads)
 	}
 	return readCSVSequential(name, rd, opts)
+}
+
+// checkComma returns encoding/csv's own error for a separator it rejects,
+// by reading an empty input with it: the reader checks its delimiters
+// before it reads anything.
+func checkComma(comma rune) error {
+	cr := csv.NewReader(strings.NewReader(""))
+	if comma != 0 {
+		cr.Comma = comma
+	}
+	if _, err := cr.Read(); err != io.EOF {
+		return err
+	}
+	return nil
 }
 
 // readCSVSequential is the single-threaded reference parser. The parallel

@@ -80,6 +80,11 @@ type Sampler struct {
 	unfocused   bool
 	threads     int
 	inst        metrics.SamplerInstruments
+	// budget is n(n-1)/2, the number of record pairs Fdep's loop compares.
+	// Once Comparisons reach it, the sampler compares every pair instead of
+	// running further windows (compareAllPairs), and allPairs is set.
+	budget   int64
+	allPairs bool
 
 	// Comparisons counts record-pair comparisons over the sampler's life
 	// (telemetry for the evaluation).
@@ -124,6 +129,7 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
+	n := int64(ix.NumRows)
 	return &Sampler{
 		ix:        ix,
 		threshold: threshold,
@@ -132,11 +138,17 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		inst:      cfg.Instruments,
 		seen:      make(map[string]struct{}),
 		scratch:   bitset.New(ix.NumCols),
+		budget:    n * (n - 1) / 2,
 	}
 }
 
 // Threshold returns the current sampling efficiency threshold.
 func (s *Sampler) Threshold() float64 { return s.threshold }
+
+// AllPairs reports whether the sampler has compared every record pair. The
+// observations then hold every agree set of the relation, so the negative
+// cover is complete and later runs return nothing.
+func (s *Sampler) AllPairs() bool { return s.allPairs }
 
 // Run performs one sampling round and returns the FD-violations first
 // observed during this round, as bitsets of the attributes in which the
@@ -144,6 +156,13 @@ func (s *Sampler) Threshold() float64 { return s.threshold }
 // every attribute with a window of two; on later calls it halves the
 // efficiency threshold and replays the Validator's comparison suggestions
 // before resuming the progressive window search.
+//
+// Before every seeding window and every step of the progressive search the
+// sampler checks its budget: once its comparisons reach the n(n-1)/2
+// record pairs, it compares every pair instead (compareAllPairs) and ends
+// the round. AllPairs reports true from then on, and later runs only halve
+// the threshold and return nothing. A round therefore compares at most
+// n(n-1) + n pairs besides the suggestions.
 //
 // The context is checked between clusters and every cancelStride
 // comparisons inside them; a canceled run returns ctx.Err() promptly and
@@ -159,6 +178,9 @@ func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set
 		}
 		s.queue = make(effQueue, 0, s.ix.NumCols)
 		for attr := 0; attr < s.ix.NumCols; attr++ {
+			if s.Comparisons >= s.budget {
+				return s.compareAllPairs(ctx, newObs)
+			}
 			e := &efficiency{attr: attr, window: 2}
 			if err := s.runWindow(ctx, e, &newObs); err != nil {
 				return nil, err
@@ -167,6 +189,9 @@ func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set
 		}
 	} else {
 		s.threshold /= 2
+		if s.allPairs {
+			return nil, nil
+		}
 		for i, sug := range suggestions {
 			if i%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -180,6 +205,9 @@ func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if s.Comparisons >= s.budget {
+			return s.compareAllPairs(ctx, newObs)
+		}
 		best := s.queue[0]
 		if best.eval() < s.threshold {
 			break
@@ -190,6 +218,31 @@ func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set
 		}
 		heap.Fix(&s.queue, 0)
 	}
+	return newObs, nil
+}
+
+// compareAllPairs ends a round whose comparisons reached the budget: it
+// compares every record pair a < b in record order, as Fdep's loop does,
+// appends the agree sets not seen before to newObs, and marks the negative
+// cover complete. It runs sequentially at every thread count, so the
+// observation order needs no merge; duplicates go through match and
+// allocate nothing. The context is checked every cancelStride comparisons;
+// a canceled pass leaves allPairs unset.
+func (s *Sampler) compareAllPairs(ctx context.Context, newObs []bitset.Set) ([]bitset.Set, error) {
+	n := int32(s.ix.NumRows)
+	comps := 0
+	for a := int32(0); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if comps%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			s.match(a, b, &newObs)
+			comps++
+		}
+	}
+	s.allPairs = true
 	return newObs, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/datasets"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
 )
@@ -208,9 +209,150 @@ func TestProgressiveWindowingCoversClusters(t *testing.T) {
 	}
 }
 
+// analog generates a catalog dataset analog at the paper's row count.
+func analog(t *testing.T, name string) *relation.Relation {
+	t.Helper()
+	d, err := datasets.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Generate(1)
+}
+
+// distinctAgreeSets computes, by a double loop over the raw rows, the set of
+// agree sets of all record pairs under null=null semantics.
+func distinctAgreeSets(rel *relation.Relation) map[string]bitset.Set {
+	sets := make(map[string]bitset.Set)
+	for i := range rel.Rows {
+		for j := i + 1; j < len(rel.Rows); j++ {
+			agree := bitset.New(rel.NumCols())
+			for a := range rel.Rows[i] {
+				if rel.Rows[i][a] == rel.Rows[j][a] {
+					agree.Set(a)
+				}
+			}
+			sets[agree.Key()] = agree
+		}
+	}
+	return sets
+}
+
+// errCtx is a context whose Err turns to Canceled once cancel holds.
+type errCtx struct {
+	context.Context
+	cancel func() bool
+}
+
+func (c errCtx) Err() error {
+	if c.cancel() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAllPairsPass: on tables whose sampling reaches the n(n-1)/2 budget,
+// the sampler ends the round with a pass over every record pair. It reports
+// all pairs compared, stays within n(n-1) + n comparisons, returns exactly
+// the distinct agree sets of all pairs, and returns nothing afterwards.
+func TestAllPairsPass(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	random := relation.New("random", []string{"A", "B", "C", "D"})
+	for i := 0; i < 40; i++ {
+		random.AppendRow([]string{
+			strconv.Itoa(r.Intn(2)), strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(2)), strconv.Itoa(r.Intn(4)),
+		})
+	}
+	// 40 binary columns over 30 rows: the seeding windows alone compare
+	// more than the 435 pairs, so the budget must be checked before each.
+	cols := make([]string, 40)
+	for j := range cols {
+		cols[j] = "c" + strconv.Itoa(j)
+	}
+	wide := relation.New("wide", cols)
+	for i := 0; i < 30; i++ {
+		row := make([]string, len(cols))
+		for j := range row {
+			row[j] = strconv.Itoa(r.Intn(2))
+		}
+		wide.AppendRow(row)
+	}
+	for _, rel := range []*relation.Relation{analog(t, "bridges"), analog(t, "hepatitis"), random, wide} {
+		for _, threads := range []int{1, 3} {
+			s := New(pli.NewIndex(rel, relation.NullEqualsNull), Config{Threads: threads})
+			obs := mustRun(t, s, nil)
+			n := int64(rel.NumRows())
+			if !s.AllPairs() {
+				t.Fatalf("%s, threads=%d: %d comparisons for %d pairs, but all pairs not compared", rel.Name, threads, s.Comparisons, n*(n-1)/2)
+			}
+			if s.Comparisons > n*(n-1)+n {
+				t.Fatalf("%s, threads=%d: %d comparisons, want at most n(n-1)+n = %d", rel.Name, threads, s.Comparisons, n*(n-1)+n)
+			}
+			want := distinctAgreeSets(rel)
+			got := make(map[string]bool)
+			for _, o := range obs {
+				if got[o.Key()] {
+					t.Fatalf("%s, threads=%d: observation %v returned twice", rel.Name, threads, o)
+				}
+				got[o.Key()] = true
+			}
+			if len(got) != len(want) || s.ObservationCount() != len(want) {
+				t.Fatalf("%s, threads=%d: %d observations (%d seen), want the %d distinct agree sets", rel.Name, threads, len(got), s.ObservationCount(), len(want))
+			}
+			for k, agree := range want {
+				if !got[k] {
+					t.Fatalf("%s, threads=%d: agree set %v missing", rel.Name, threads, agree)
+				}
+			}
+			comps := s.Comparisons
+			if later := mustRun(t, s, []pli.Pair{{A: 0, B: 1}}); len(later) != 0 || s.Comparisons != comps || !s.AllPairs() {
+				t.Fatalf("%s, threads=%d: run after the pass returned %v and compared %d pairs", rel.Name, threads, later, s.Comparisons-comps)
+			}
+		}
+	}
+}
+
+// TestAllPairsPassCanceled: a context canceled during the pass returns its
+// error and leaves the flag unset. No window run starts at or above the
+// budget and one window compares fewer than n pairs, so only the pass
+// reaches budget + n comparisons; the pass over bridges' 5778 pairs then
+// checks the context again after cancelStride comparisons.
+func TestAllPairsPassCanceled(t *testing.T) {
+	rel := analog(t, "bridges")
+	n := int64(rel.NumRows())
+	if n*(n-1)/2 <= n+cancelStride {
+		t.Fatalf("%d rows are too few to cancel the pass midway", n)
+	}
+	for _, threads := range []int{1, 3} {
+		s := New(pli.NewIndex(rel, relation.NullEqualsNull), Config{Threads: threads})
+		ctx := errCtx{context.Background(), func() bool { return s.Comparisons >= s.budget+n }}
+		if _, err := s.Run(ctx, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("threads=%d: err = %v, want context.Canceled", threads, err)
+		}
+		if s.AllPairs() || s.Comparisons < s.budget+n {
+			t.Fatalf("threads=%d: canceled after %d comparisons (budget %d), all pairs %v", threads, s.Comparisons, s.budget, s.AllPairs())
+		}
+	}
+}
+
+// TestBudgetNotReached: a table whose sampling stops below the budget keeps
+// the windowed search alone. The 1000-row ncvoter analog stops at 49,461 of
+// its 499,500 pairs.
+func TestBudgetNotReached(t *testing.T) {
+	rel := analog(t, "ncvoter")
+	for _, threads := range []int{1, 2} {
+		s := New(pli.NewIndex(rel, relation.NullEqualsNull), Config{Threads: threads})
+		obs := mustRun(t, s, nil)
+		if s.AllPairs() || s.Comparisons != 49461 || s.Windows != 190 || len(obs) != 740 {
+			t.Fatalf("threads=%d: all pairs %v, %d comparisons, %d windows, %d observations; want false, 49461, 190, 740",
+				threads, s.AllPairs(), s.Comparisons, s.Windows, len(obs))
+		}
+	}
+}
+
 // TestParallelSamplingMatchesSequential: every thread count yields the same
 // comparisons and the same observations in the same order, also over a
-// universe wider than one bitset word.
+// universe wider than one bitset word. The narrow table stops below the
+// budget; the wide one ends its round with the pass over all pairs.
 func TestParallelSamplingMatchesSequential(t *testing.T) {
 	narrow := func(r *rand.Rand, i int) []string {
 		return []string{
@@ -227,9 +369,10 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 		return row
 	}
 	for _, tc := range []struct {
-		name string
-		gen  func(*rand.Rand, int) []string
-	}{{"narrow", narrow}, {"wide", wide}} {
+		name     string
+		gen      func(*rand.Rand, int) []string
+		allPairs bool
+	}{{"narrow", narrow, false}, {"wide", wide, true}} {
 		name := tc.name
 		r := rand.New(rand.NewSource(19))
 		var rows [][]string
@@ -242,9 +385,15 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 		}
 		seq := New(buildIndex(rows, cols), Config{Threads: 1})
 		seqObs := mustRun(t, seq, nil)
+		if seq.AllPairs() != tc.allPairs {
+			t.Fatalf("%s: all pairs %v, want %v", name, seq.AllPairs(), tc.allPairs)
+		}
 		for _, threads := range []int{2, 8} {
 			par := New(buildIndex(rows, cols), Config{Threads: threads})
 			parObs := mustRun(t, par, nil)
+			if seq.AllPairs() != par.AllPairs() {
+				t.Fatalf("%s, %d threads: all pairs %v vs %v", name, threads, seq.AllPairs(), par.AllPairs())
+			}
 			if seq.Comparisons != par.Comparisons {
 				t.Fatalf("%s, %d threads: comparison counts differ: %d vs %d", name, threads, seq.Comparisons, par.Comparisons)
 			}

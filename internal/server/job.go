@@ -144,6 +144,7 @@ type job struct {
 	startedAt time.Time
 	doneAt    time.Time
 	done      chan struct{} // closed on reaching a terminal status
+	claimed   bool          // a caller holds the terminal transition (see claim)
 	// admitted is closed by submit once the job is in the store with its
 	// id and queue.wait span; a worker may dequeue the job before that,
 	// so execute waits for it.
@@ -216,27 +217,31 @@ func (j *job) view() JobView {
 	return v
 }
 
-// transition moves the job to a terminal status exactly once and wakes
-// waiters; later transitions (e.g. a cancel racing a completion) are no-ops.
-func (j *job) transition(status JobStatus, result *JobResult, err error) bool {
+// claim reserves the job's one terminal transition for the caller and
+// reports whether it won; later claims (e.g. a cancel racing a completion)
+// lose. The winner publishes the terminal status (see Server.finish).
+func (j *job) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.status {
-	case StatusDone, StatusFailed, StatusCanceled:
+	if j.claimed {
 		return false
 	}
+	j.claimed = true
+	return true
+}
+
+// publish moves a claimed job to its terminal status and wakes waiters.
+func (j *job) publish(status JobStatus, result *JobResult, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status = status
 	j.result = result
 	j.err = err
-	switch status {
-	case StatusDone, StatusFailed, StatusCanceled:
-		j.doneAt = time.Now()
-		if j.deadline != nil {
-			j.deadline.Stop()
-		}
-		close(j.done)
+	j.doneAt = time.Now()
+	if j.deadline != nil {
+		j.deadline.Stop()
 	}
-	return true
+	close(j.done)
 }
 
 // closeTrace finishes the job's flight recorder at a terminal state: the

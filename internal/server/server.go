@@ -356,47 +356,62 @@ func (s *Server) execute(j *job) {
 	mode := string(j.req.Mode)
 	s.inst.runSeconds.With(mode).Observe(elapsed.Seconds())
 
+	status, result := StatusDone, (*JobResult)(nil)
 	switch {
 	case err == nil:
 		encSpan := j.rec.Start(spanEncode, j.root)
-		result := renderResult(res, j.ds.Relation())
+		result = renderResult(res, j.ds.Relation())
 		j.rec.End(encSpan, tracing.Int("count", result.Count))
-		if j.transition(StatusDone, result, nil) {
-			s.inst.jobsTotal.With(string(StatusDone)).Inc()
-		}
 	case j.deadlineExpired():
 		// The deadline timer canceled the context, so the engine reports a
 		// plain cancellation; reclassify it as the timeout it is (504).
 		err = fmt.Errorf("job deadline exceeded: %w", context.DeadlineExceeded)
-		if j.transition(StatusFailed, nil, err) {
-			s.inst.jobsTotal.With(string(StatusFailed)).Inc()
-		}
+		status = StatusFailed
 	case jobCanceled(err):
-		if j.transition(StatusCanceled, nil, err) {
-			s.inst.jobsTotal.With(string(StatusCanceled)).Inc()
-		}
+		status = StatusCanceled
 	default:
-		if j.transition(StatusFailed, nil, err) {
-			s.inst.jobsTotal.With(string(StatusFailed)).Inc()
-		}
+		status = StatusFailed
 	}
+	// Every server stage has ended: fold the stage spans before the
+	// terminal status is published, so a client that sees the job finished
+	// and scrapes /metrics at once finds them there.
+	s.foldSpans(j)
+	s.finish(j, status, result, err)
 	j.closeTrace()
 	s.noteFinished(j)
 }
 
-// noteFinished folds one terminal job into the daemon-wide telemetry: the
-// server-stage span histograms, the slowest-jobs ring, and the structured
-// completion log line.
-func (s *Server) noteFinished(j *job) {
-	v := j.view()
-	if j.rec != nil {
-		for _, sp := range j.rec.Snapshot().Spans {
-			switch sp.Name {
-			case spanAdmission, spanQueueWait, spanRun, spanEncode:
-				s.inst.spanSeconds.With(sp.Name).Observe(float64(sp.DurNs) / 1e9)
-			}
+// finish takes the job to its terminal status unless another caller already
+// has (a cancel racing a completion), and reports whether it did. The job
+// counter is incremented before the status is published, so a client that
+// sees the job finished and scrapes /metrics at once finds it counted.
+func (s *Server) finish(j *job, status JobStatus, result *JobResult, err error) bool {
+	if !j.claim() {
+		return false
+	}
+	s.inst.jobsTotal.With(string(status)).Inc()
+	j.publish(status, result, err)
+	return true
+}
+
+// foldSpans folds a finished job's server-stage spans into the daemon-wide
+// span histograms.
+func (s *Server) foldSpans(j *job) {
+	if j.rec == nil {
+		return
+	}
+	for _, sp := range j.rec.Snapshot().Spans {
+		switch sp.Name {
+		case spanAdmission, spanQueueWait, spanRun, spanEncode:
+			s.inst.spanSeconds.With(sp.Name).Observe(float64(sp.DurNs) / 1e9)
 		}
 	}
+}
+
+// noteFinished records one terminal job in the slowest-jobs ring and the
+// structured completion log line.
+func (s *Server) noteFinished(j *job) {
+	v := j.view()
 	s.slow.Note(tracing.SlowJob{
 		ID:             v.ID,
 		Dataset:        v.Request.Dataset,
@@ -419,9 +434,7 @@ func (s *Server) cancelJob(id string) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.transition(StatusCanceled, nil, context.Canceled) {
-		s.inst.jobsTotal.With(string(StatusCanceled)).Inc()
-	}
+	s.finish(j, StatusCanceled, nil, context.Canceled)
 	j.cancel()
 	return j, nil
 }
@@ -452,9 +465,9 @@ drain:
 		select {
 		case j := <-s.queue:
 			s.inst.queueDepth.Add(-1)
-			if j.transition(StatusCanceled, nil, fmt.Errorf("%w: %w", ErrShuttingDown, context.Canceled)) {
-				s.inst.jobsTotal.With(string(StatusCanceled)).Inc()
+			if s.finish(j, StatusCanceled, nil, fmt.Errorf("%w: %w", ErrShuttingDown, context.Canceled)) {
 				j.closeTrace()
+				s.foldSpans(j)
 				s.noteFinished(j)
 			}
 			j.cancel()

@@ -104,6 +104,9 @@ type SamplingRound struct {
 	// Threshold is the efficiency threshold the round stopped at (it halves
 	// on every re-entry into Phase 1).
 	Threshold float64
+	// AllPairs is true once the sampler has compared every record pair, so
+	// the negative cover is complete and the full-cover run skips Phase 2.
+	AllPairs bool
 	// Duration is the round's wall-clock time including induction.
 	Duration time.Duration
 }

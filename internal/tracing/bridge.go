@@ -65,7 +65,8 @@ func (b *bridge) Observe(e trace.Event) {
 			Int("new_observations", ev.NewObservations),
 			Int64("comparisons", ev.Comparisons),
 			Int64("windows", ev.Windows),
-			Float("threshold", ev.Threshold))
+			Float("threshold", ev.Threshold),
+			Bool("all_pairs", ev.AllPairs))
 	case trace.PhaseSwitch:
 		b.rec.Instant(SpanPhaseSwitch, b.parent,
 			String("from", ev.From.String()), String("to", ev.To.String()),
