@@ -48,6 +48,8 @@ race:
 # with runtime invariants armed.
 check: build lint race test-invariants
 
+# bench runs every Go benchmark of the root module once, so a benchmark
+# that fails at run time (an index panic after a layout change) fails here.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

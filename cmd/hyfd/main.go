@@ -322,7 +322,7 @@ func serveMetrics(addr string, reg *hyfd.MetricsRegistry, logger *slog.Logger) (
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	logger.Info("metrics serving", "url", fmt.Sprintf("http://%s/metrics", ln.Addr()))
-	srv := &http.Server{Handler: mux}
+	srv := newMetricsServer(mux)
 	done := make(chan struct{})
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -336,6 +336,21 @@ func serveMetrics(addr string, reg *hyfd.MetricsRegistry, logger *slog.Logger) (
 		_ = srv.Shutdown(ctx)
 		<-done
 	}
+}
+
+// The metrics server's connection timeouts. A client that never finishes
+// its request headers, or leaves a keep-alive connection idle, is cut off.
+// Bodies and responses get no deadline, so /debug/pprof/profile?seconds=30
+// and /debug/pprof/trace still complete.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newMetricsServer wraps the observability mux in an http.Server with the
+// connection timeouts set.
+func newMetricsServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // runReport is the -stats-json document: the run's Stats under their stable

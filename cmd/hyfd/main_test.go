@@ -331,3 +331,21 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 }
+
+// TestMetricsServerTimeouts pins the -metrics-addr listener's connection
+// timeouts: a client that never finishes its headers, or idles on a
+// keep-alive connection, is cut off, while bodies and responses stay
+// unbounded so /debug/pprof/profile?seconds=30 completes.
+func TestMetricsServerTimeouts(t *testing.T) {
+	srv := newMetricsServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want %v, %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Errorf("timeouts must be positive: %v, %v", readHeaderTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want neither set", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

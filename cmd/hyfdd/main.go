@@ -114,7 +114,7 @@ func run() int {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -149,6 +149,21 @@ func run() int {
 	}
 	logger.Info("shutdown complete")
 	return 0
+}
+
+// The HTTP server's connection timeouts. A client that never finishes its
+// request headers, or leaves a keep-alive connection idle, is cut off.
+// Bodies and responses get no deadline, so /debug/pprof/profile?seconds=30
+// and long trace fetches still complete.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // writeSnapshot flushes the registry's final state as one JSON document.

@@ -59,7 +59,7 @@ type jobView struct {
 	Status         string `json:"status"`
 	Error          string `json:"error"`
 	DatasetVersion int    `json:"dataset_version"`
-	Result *struct {
+	Result         *struct {
 		FDs    []string `json:"fds"`
 		AFDs   []string `json:"afds"`
 		UCCs   []string `json:"uccs"`
@@ -367,5 +367,23 @@ func TestUsageErrors(t *testing.T) {
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
 		t.Fatalf("want exit 2, got %v", err)
+	}
+}
+
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: a client
+// that never finishes its headers, or idles on a keep-alive connection, is
+// cut off, while bodies and responses stay unbounded so long profile and
+// trace fetches complete.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want %v, %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Errorf("timeouts must be positive: %v, %v", readHeaderTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want neither set", srv.ReadTimeout, srv.WriteTimeout)
 	}
 }

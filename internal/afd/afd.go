@@ -48,7 +48,7 @@ func G3(ix *pli.Index, cache *pli.Cache, lhs bitset.Set, rhs int) float64 {
 		maxCount := 0
 		singles := 0
 		for _, rec := range cluster {
-			cid := ix.Records[rec][rhs]
+			cid := ix.Row(int(rec))[rhs]
 			if cid == pli.Singleton {
 				singles++ // a unique RHS value: a group of size 1
 				continue

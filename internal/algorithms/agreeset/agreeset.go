@@ -38,7 +38,7 @@ func Compute(ctx context.Context, ix *pli.Index) ([]bitset.Set, error) {
 			return
 		}
 		seenPairs[pk] = struct{}{}
-		ra, rb := ix.Records[a], ix.Records[b]
+		ra, rb := ix.Row(int(a)), ix.Row(int(b))
 		agree := bitset.New(ix.NumCols)
 		for attr := 0; attr < ix.NumCols; attr++ {
 			if ra[attr] != pli.Singleton && ra[attr] == rb[attr] {

@@ -49,7 +49,7 @@ func (*FDEP) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 	var pairs int64
 	nextCheck := int64(cancelStride)
 	for i := 0; i < ix.NumRows; i++ {
-		ri := ix.Records[i]
+		ri := ix.Row(i)
 		if pairs >= nextCheck {
 			if err := algorithms.Canceled(ctx, "Fdep"); err != nil {
 				return nil, err
@@ -58,7 +58,7 @@ func (*FDEP) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 		}
 		pairs += int64(ix.NumRows - i - 1)
 		for j := i + 1; j < ix.NumRows; j++ {
-			rj := ix.Records[j]
+			rj := ix.Row(j)
 			agree := bitset.New(m)
 			for a := 0; a < m; a++ {
 				if ri[a] != pli.Singleton && ri[a] == rj[a] {

@@ -18,7 +18,8 @@ import (
 // shares across concurrent runs: pli.PLI, pli.Index, pli.Partition, and
 // dataset.Dataset are immutable once built, so any assignment whose target
 // is reached through an accessor call returning (a pointer or slice of)
-// one of these types mutates state other goroutines may be reading. The
+// one of these types, or through any method called on one of them,
+// mutates state other goroutines may be reading. The
 // owning packages (internal/pli, internal/dataset) construct the artifacts
 // and are exempt; everyone else must copy before modifying.
 var BitsetAliasAnalyzer = &Analyzer{
@@ -100,8 +101,10 @@ func runBitsetAlias(pass *Pass) {
 // checkSharedWrite walks an assignment target toward its root and reports
 // when the chain passes through a call returning shared preprocessing state
 // (a PLI, Index, Partition, or Dataset, possibly behind pointers or
-// slices): writing through such an accessor mutates the artifact that
-// concurrent runs read.
+// slices), or through any method called on such state: writing through
+// either mutates the artifact that concurrent runs read. The method rule
+// covers accessors that hand out an artifact's internals under a plain
+// type, such as Index.Row returning a record's []int32.
 func checkSharedWrite(pass *Pass, info *types.Info, e ast.Expr) {
 	pos := e.Pos()
 	for {
@@ -113,10 +116,17 @@ func checkSharedWrite(pass *Pass, info *types.Info, e ast.Expr) {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.CallExpr:
+			name, shared := "", false
 			if tv, ok := info.Types[x]; ok {
-				if name, shared := sharedArtifactType(tv.Type, pass.Prog.ModulePath); shared {
-					pass.Reportf(pos, "write through a %s accessor result mutates shared preprocessing state; copy it (or build your own) before modifying", name)
+				name, shared = sharedArtifactType(tv.Type, pass.Prog.ModulePath)
+			}
+			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && !shared {
+				if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+					name, shared = sharedArtifactType(s.Recv(), pass.Prog.ModulePath)
 				}
+			}
+			if shared {
+				pass.Reportf(pos, "write through a %s accessor result mutates shared preprocessing state; copy it (or build your own) before modifying", name)
 			}
 			return
 		default:

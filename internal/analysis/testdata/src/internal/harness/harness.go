@@ -15,6 +15,7 @@ func MutateShared(ds *dataset.Dataset) {
 	ds.Plis()[0].Clusters = nil  // want "bitsetalias: write through a pli.PLI accessor result"
 	ds.Index().NumRows = 0       // want "bitsetalias: write through a pli.Index accessor result"
 	ds.Index().Records[0][1] = 5 // want "bitsetalias: write through a pli.Index accessor result"
+	ds.Index().Row(0)[1] = 5     // want "bitsetalias: write through a pli.Index accessor result"
 	ds.Index().NumRows++         // want "bitsetalias: write through a pli.Index accessor result"
 }
 
@@ -56,5 +57,7 @@ func ReadShared(ds *dataset.Dataset) int {
 	for _, rec := range mine.Records {
 		rec[0] = 1
 	}
+	own := append([]int32(nil), ds.Index().Row(0)...)
+	own[1] = 5 // a copied record is the caller's to write
 	return total
 }

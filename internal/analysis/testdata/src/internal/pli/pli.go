@@ -62,6 +62,10 @@ type Index struct {
 	NumRows int
 }
 
+// Row hands out one compressed record: shared state under a plain
+// []int32 type.
+func (ix *Index) Row(r int) []int32 { return ix.Records[r] }
+
 // Build constructs an Index. The owning package writes artifact internals
 // freely — it is exempt from the shared-state rule.
 func Build(n int) *Index {

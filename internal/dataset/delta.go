@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hyfd/internal/pli"
@@ -99,7 +98,7 @@ func (d *Dataset) Apply(ctx context.Context, delta Delta) (*Dataset, error) {
 		Deletes:     len(deletedIDs),
 	}
 	for _, r := range deletedIDs {
-		prov.DeletedRecords = append(prov.DeletedRecords, append([]int32(nil), d.ix.Records[r]...))
+		prov.DeletedRecords = append(prov.DeletedRecords, append([]int32(nil), d.ix.Row(r)...))
 	}
 
 	var (
@@ -221,73 +220,31 @@ func (d *Dataset) applyInserts(inserts []relation.Row) (*relation.Relation, *pli
 	rel := &relation.Relation{Name: d.rel.Name, Columns: d.rel.Columns, Rows: rows}
 
 	exts := make([]attrExt, m)
-	forEachAttr(m, d.threads, func(a int) {
+	pli.ForEachAttr(m, d.threads, func(a int) {
 		exts[a] = d.extendAttr(a, rel.Rows)
 	})
 
-	ix := &pli.Index{
-		Plis:    make([]*pli.PLI, m),
-		NumRows: n + k,
-		NumCols: m,
-	}
+	plis := make([]*pli.PLI, m)
 	shared := 0
 	rewired := false
 	for a, e := range exts {
-		ix.Plis[a] = e.p
+		plis[a] = e.p
 		if e.shared {
 			shared++
 		}
 		rewired = rewired || e.rewired
 	}
-
+	// Old records keep their compressed rows, so Assemble copies them and
+	// inverts only the k new ones, into a fresh matrix: appending to the
+	// parent's would let two children of one parent share, and overwrite,
+	// its spare capacity. If an old singleton joined a cluster, cluster ids
+	// of old records shifted in that attribute, so the whole matrix is
+	// inverted.
+	prefix := d.ix.Records
 	if rewired {
-		// At least one attribute's old cluster ids shifted; compressed
-		// record rows span all attributes, so rebuild the matrix by full
-		// inversion (same procedure as pli.NewIndexWith).
-		ix.Records = make([][]int32, n+k)
-		flat := make([]int32, (n+k)*m)
-		for i := range flat {
-			flat[i] = pli.Singleton
-		}
-		for r := range ix.Records {
-			ix.Records[r], flat = flat[:m], flat[m:]
-		}
-		forEachAttr(m, d.threads, func(a int) {
-			for cid, cluster := range ix.Plis[a].Clusters {
-				for _, r := range cluster {
-					ix.Records[r][a] = int32(cid)
-				}
-			}
-		})
-	} else {
-		// Old rows keep their compressed records verbatim — share them —
-		// and only the k inserted rows need fresh record rows. New ids
-		// (>= n) sit at the tail of each ascending cluster.
-		newRecs := make([][]int32, k)
-		flat := make([]int32, k*m)
-		for i := range flat {
-			flat[i] = pli.Singleton
-		}
-		for r := range newRecs {
-			newRecs[r], flat = flat[:m], flat[m:]
-		}
-		forEachAttr(m, d.threads, func(a int) {
-			for cid, cluster := range ix.Plis[a].Clusters {
-				for i := len(cluster) - 1; i >= 0 && cluster[i] >= int32(n); i-- {
-					newRecs[cluster[i]-int32(n)][a] = int32(cid)
-				}
-			}
-		})
-		ix.Records = append(d.ix.Records[:n:n], newRecs...)
+		prefix = nil
 	}
-
-	ix.Order = make([]int, m)
-	for a := range ix.Order {
-		ix.Order[a] = a
-	}
-	sort.SliceStable(ix.Order, func(i, j int) bool {
-		return ix.Plis[ix.Order[i]].NumClusters > ix.Plis[ix.Order[j]].NumClusters
-	})
+	ix := pli.Assemble(plis, n+k, prefix, d.threads)
 	return rel, ix, shared
 }
 
@@ -342,7 +299,7 @@ func (d *Dataset) extendAttr(a int, newRows [][]string) attrExt {
 		if _, done := anchorSingle[v]; done {
 			continue
 		}
-		if cid := d.ix.Records[r][a]; cid != pli.Singleton {
+		if cid := d.ix.Row(r)[a]; cid != pli.Singleton {
 			anchorCluster[v] = int(cid)
 		} else {
 			anchorSingle[v] = int32(r)
@@ -404,35 +361,4 @@ func (d *Dataset) extendAttr(a int, newRows [][]string) attrExt {
 		NumRows:     len(newRows),
 	}
 	return ext
-}
-
-// forEachAttr runs f(a) for every attribute, fanning out over a worker pool
-// when threads > 1. Work partitions by attribute, so any thread count yields
-// identical results.
-func forEachAttr(m, threads int, f func(a int)) {
-	if threads > m {
-		threads = m
-	}
-	if threads <= 1 {
-		for a := 0; a < m; a++ {
-			f(a)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for a := range work {
-				f(a)
-			}
-		}()
-	}
-	for a := 0; a < m; a++ {
-		work <- a
-	}
-	close(work)
-	wg.Wait()
 }

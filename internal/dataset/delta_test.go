@@ -213,3 +213,51 @@ func TestApplyInsertOnlySharesClusters(t *testing.T) {
 		}
 	}
 }
+
+// TestApplySiblingSnapshots applies several insert deltas to one parent
+// that was itself built by an insert. Every child gets its own record
+// matrix: if one appended into the parent's, a sibling's rows would
+// overwrite it.
+func TestApplySiblingSnapshots(t *testing.T) {
+	rel := relation.New("siblings", []string{"A", "B", "C"})
+	for _, row := range [][]string{
+		{"a", "x", "1"}, {"a", "y", "2"}, {"b", "x", "3"}, {"b", "y", "4"}, {"c", "z", "5"},
+	} {
+		rel.AppendRow(row)
+	}
+	for _, threads := range []int{1, 4} {
+		ctx := context.Background()
+		check := func(tag string, ds *Dataset) {
+			t.Helper()
+			cold, err := Prepare(ctx, ds.Relation(), Options{Threads: 1})
+			if err != nil {
+				t.Fatalf("%s: cold Prepare: %v", tag, err)
+			}
+			assertIndexEqual(t, fmt.Sprintf("threads=%d %s", threads, tag), ds.Index(), cold.Index())
+		}
+		apply := func(ds *Dataset, rows ...relation.Row) *Dataset {
+			t.Helper()
+			next, err := ds.Apply(ctx, Delta{Inserts: rows})
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			return next
+		}
+		v1, err := Prepare(ctx, rel, Options{Threads: threads})
+		if err != nil {
+			t.Fatalf("Prepare: %v", err)
+		}
+		v2 := apply(v1, relation.Row{"a", "x", "6"})
+		// Two children that only extend clusters, with different rows, and
+		// one whose "c" joins the old singleton record 4, so its attribute
+		// A is rewired.
+		extend1 := apply(v2, relation.Row{"b", "y", "7"}, relation.Row{"a", "y", "8"})
+		rewire := apply(v2, relation.Row{"c", "x", "9"})
+		extend2 := apply(v2, relation.Row{"a", "x", "10"}, relation.Row{"b", "x", "11"})
+		check("v1", v1)
+		check("v2", v2)
+		check("extend1", extend1)
+		check("rewire", rewire)
+		check("extend2", extend2)
+	}
+}

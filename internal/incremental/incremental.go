@@ -315,7 +315,7 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 	visited := make([]int, ix.NumRows)
 	var out []bitset.Set
 	for r := from; r < ix.NumRows; r++ {
-		rec := ix.Records[r]
+		rec := ix.Row(r)
 		stamp := r + 1
 		for a := 0; a < ix.NumCols; a++ {
 			c := rec[a]
@@ -331,7 +331,7 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 					continue
 				}
 				visited[s] = stamp
-				srec := ix.Records[s]
+				srec := ix.Row(s)
 				ag := bitset.New(ix.NumCols)
 				for b := 0; b < ix.NumCols; b++ {
 					if rec[b] != pli.Singleton && rec[b] == srec[b] {
@@ -442,7 +442,7 @@ func touchedSets(records [][]int32, m int) []bitset.Set {
 func insertedTouchedSets(ix *pli.Index, from, m int) []bitset.Set {
 	recs := make([][]int32, 0, ix.NumRows-from)
 	for r := from; r < ix.NumRows; r++ {
-		recs = append(recs, ix.Records[r])
+		recs = append(recs, ix.Row(r))
 	}
 	return touchedSets(recs, m)
 }

@@ -64,6 +64,39 @@ func TestParallelIndexIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestIndexRows checks the record matrix against the PLIs it inverts: every
+// row is NumCols long with no spare capacity, and a cell holds the id of
+// the record's cluster, or Singleton when no cluster holds the record.
+func TestIndexRows(t *testing.T) {
+	rel := wideRelation(t)
+	for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
+		ix := NewIndexWith(rel, ns, Options{Threads: 2})
+		if len(ix.Records) != ix.NumRows*ix.NumCols {
+			t.Fatalf("%v: len(Records) = %d, want %d", ns, len(ix.Records), ix.NumRows*ix.NumCols)
+		}
+		want := make([]int32, len(ix.Records))
+		for i := range want {
+			want[i] = Singleton
+		}
+		for a, p := range ix.Plis {
+			for cid, cluster := range p.Clusters {
+				for _, r := range cluster {
+					want[int(r)*ix.NumCols+a] = int32(cid)
+				}
+			}
+		}
+		for r := 0; r < ix.NumRows; r++ {
+			row := ix.Row(r)
+			if len(row) != ix.NumCols || cap(row) != ix.NumCols {
+				t.Fatalf("%v: Row(%d) has len %d, cap %d; want both %d", ns, r, len(row), cap(row), ix.NumCols)
+			}
+			if !reflect.DeepEqual(row, want[r*ix.NumCols:(r+1)*ix.NumCols]) {
+				t.Fatalf("%v: Row(%d) = %v, want %v", ns, r, row, want[r*ix.NumCols:(r+1)*ix.NumCols])
+			}
+		}
+	}
+}
+
 // TestBuildAllWithOnBuildCoversEveryAttribute checks the per-attribute
 // instrumentation hook fires exactly once per attribute, from any worker.
 func TestBuildAllWithOnBuildCoversEveryAttribute(t *testing.T) {

@@ -10,13 +10,15 @@ type Partition struct {
 	NumRows  int
 }
 
-// PartitionOf converts a single-attribute PLI into a Partition. Cluster
-// slices are shared with the PLI and must not be mutated.
+// probeCell is one record's entry in the Intersector's probe table: its
+// cluster in the left operand, valid only under the current stamp.
 type probeCell struct {
 	cluster int32
 	stamp   int32
 }
 
+// PartitionOf converts a single-attribute PLI into a Partition. Cluster
+// slices are shared with the PLI and must not be mutated.
 func PartitionOf(p *PLI) *Partition {
 	return &Partition{Clusters: p.Clusters, NumRows: p.NumRows}
 }

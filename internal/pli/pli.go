@@ -7,6 +7,7 @@
 package pli
 
 import (
+	"hash/maphash"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,28 +60,104 @@ func (p *PLI) IsUnique() bool {
 // Build constructs the PLI of one attribute from its column values. Under
 // NullNotEqualsNull, every null cell forms its own singleton cluster, so
 // nulls never witness an FD violation on the left-hand side.
+//
+// One dictionary pass gives every distinct value a dense id in order of
+// first appearance, through an open-addressed table of int32 slots hashed
+// under a seed drawn for this build. A count per id, a prefix sum over the
+// ids counted at least twice, and one fill pass in row order then place
+// every cluster in one flat array. Ids in first-appearance order list the
+// clusters by first record and fill each one ascending, so no sort is
+// needed and no output depends on the seed.
 func Build(attr int, column []string, ns relation.NullSemantics) *PLI {
-	groups := make(map[string][]int32, len(column))
-	nulls := 0
-	for i, v := range column {
-		if v == relation.Null && ns == relation.NullNotEqualsNull {
-			nulls++ // each null is its own class
+	return build(attr, column, ns, false)
+}
+
+// build is Build with a test seam: collide sends every value to one slot,
+// so each lookup walks the probe chain.
+func build(attr int, column []string, ns relation.NullSemantics, collide bool) *PLI {
+	n := len(column)
+	size := 1
+	for size < 2*n {
+		size <<= 1 // load at most one half
+	}
+	mask := uint64(size - 1)
+	hashMask := mask
+	if collide {
+		hashMask = 0
+	}
+	seed := maphash.MakeSeed()
+	// slots holds the first row + 1 of each distinct value (0 = empty),
+	// and ids the dense id of every row, or -1 for a null that is its own
+	// class.
+	slots := make([]int32, size)
+	ids := make([]int32, n)
+	distinct, nulls := int32(0), 0
+	for r, v := range column {
+		if ns == relation.NullNotEqualsNull && v == relation.Null {
+			ids[r] = -1
+			nulls++
 			continue
 		}
-		groups[v] = append(groups[v], int32(i))
-	}
-	p := &PLI{Attr: attr, NumRows: len(column), NumClusters: nulls}
-	for _, ids := range groups {
-		p.NumClusters++
-		if len(ids) > 1 {
-			p.Clusters = append(p.Clusters, ids)
+		slot := maphash.String(seed, v) & hashMask
+		for {
+			first := slots[slot]
+			if first == 0 {
+				slots[slot] = int32(r) + 1
+				ids[r] = distinct
+				distinct++
+				break
+			}
+			if column[first-1] == v {
+				ids[r] = ids[first-1]
+				break
+			}
+			slot = (slot + 1) & mask
 		}
 	}
-	// Deterministic cluster order: by first record id. Map iteration order
-	// would otherwise leak into sampling order and phase-switch counts.
-	sort.Slice(p.Clusters, func(i, j int) bool {
-		return p.Clusters[i][0] < p.Clusters[j][0]
-	})
+	// The table is done with; its first slots count the rows per id.
+	counts := slots[:distinct]
+	clear(counts)
+	for _, id := range ids {
+		if id >= 0 {
+			counts[id]++
+		}
+	}
+	// Turn the count of every id seen at least twice into its cluster's
+	// start offset; a singleton id gets -1.
+	covered, numClusters := int32(0), 0
+	for id, c := range counts {
+		if c < 2 {
+			counts[id] = -1
+			continue
+		}
+		counts[id] = covered
+		covered += c
+		numClusters++
+	}
+	p := &PLI{Attr: attr, NumRows: n, NumClusters: int(distinct) + nulls}
+	if numClusters > 0 {
+		flat := make([]int32, covered)
+		for r, id := range ids {
+			if id < 0 {
+				continue
+			}
+			if off := counts[id]; off >= 0 {
+				flat[off] = int32(r)
+				counts[id] = off + 1
+			}
+		}
+		// Each offset now holds its cluster's end, and the clusters lie
+		// back to back in id order. Capped subslices keep an append to one
+		// cluster from overwriting the next.
+		p.Clusters = make([][]int32, 0, numClusters)
+		start := int32(0)
+		for _, end := range counts {
+			if end >= 0 {
+				p.Clusters = append(p.Clusters, flat[start:end:end])
+				start = end
+			}
+		}
+	}
 	if invariant.Enabled {
 		assertStripped(p)
 	}
@@ -120,10 +197,6 @@ func BuildAll(rel *relation.Relation, ns relation.NullSemantics) []*PLI {
 // sequential build for every thread count.
 func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Options) []*PLI {
 	plis := make([]*PLI, rel.NumCols())
-	threads := opts.threadCount()
-	if threads > len(plis) {
-		threads = len(plis)
-	}
 	buildOne := func(a int) {
 		start := time.Time{}
 		if opts.OnBuild != nil {
@@ -140,11 +213,23 @@ func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Option
 			opts.OnBuild(plis[a], time.Since(start))
 		}
 	}
+	ForEachAttr(len(plis), opts.threadCount(), buildOne)
+	return plis
+}
+
+// ForEachAttr runs f(a) for every attribute a in [0, m) on a pool of up to
+// threads workers; threads <= 1 runs them in order on the caller's
+// goroutine. Work partitions by attribute, so when f(a) writes only state
+// of attribute a, every thread count yields identical results.
+func ForEachAttr(m, threads int, f func(a int)) {
+	if threads > m {
+		threads = m
+	}
 	if threads <= 1 {
-		for a := range plis {
-			buildOne(a)
+		for a := 0; a < m; a++ {
+			f(a)
 		}
-		return plis
+		return
 	}
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -153,30 +238,37 @@ func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Option
 		go func() {
 			defer wg.Done()
 			for a := range work {
-				buildOne(a)
+				f(a)
 			}
 		}()
 	}
-	for a := range plis {
+	for a := 0; a < m; a++ {
 		work <- a
 	}
 	close(work)
 	wg.Wait()
-	return plis
 }
 
 // Index bundles the per-attribute PLIs with the PLI-compressed records the
-// Preprocessor produces (Alg. 1): Records[r][a] is the id of record r's
-// cluster in attribute a, or Singleton if the record's value is unique in a.
-// Order lists attribute indices sorted by descending NumClusters, the
-// sortation the paper uses both to pick sampling sort keys and to choose
-// the pivot PLI during validation.
+// Preprocessor produces (Alg. 1). Records is one row-major matrix of
+// NumRows × NumCols cells: Row(r)[a] is the id of record r's cluster in
+// attribute a, or Singleton if the record's value is unique in a. Order
+// lists attribute indices sorted by descending NumClusters, the sortation
+// the paper uses both to pick sampling sort keys and to choose the pivot
+// PLI during validation.
 type Index struct {
 	Plis    []*PLI
-	Records [][]int32
+	Records []int32
 	Order   []int
 	NumRows int
 	NumCols int
+}
+
+// Row returns the compressed record r, NumCols cells long. Its capacity is
+// capped too, so an append to it cannot overwrite the next record.
+func (ix *Index) Row(r int) []int32 {
+	m := ix.NumCols
+	return ix.Records[r*m : r*m+m : r*m+m]
 }
 
 // NewIndex preprocesses a relation into PLIs and compressed records,
@@ -187,65 +279,48 @@ func NewIndex(rel *relation.Relation, ns relation.NullSemantics) *Index {
 
 // NewIndexWith preprocesses a relation into PLIs and compressed records
 // with a worker pool (Alg. 1, parallelized per attribute). Both the PLI
-// build and the record inversion partition their work by attribute —
-// workers write disjoint columns of the record matrix — so the index is
-// bit-for-bit identical across thread counts.
+// build and the record inversion partition their work by attribute, so the
+// index is bit-for-bit identical across thread counts.
 func NewIndexWith(rel *relation.Relation, ns relation.NullSemantics, opts Options) *Index {
-	plis := BuildAllWith(rel, ns, opts)
-	idx := &Index{
-		Plis:    plis,
-		NumRows: rel.NumRows(),
-		NumCols: rel.NumCols(),
+	return Assemble(BuildAllWith(rel, ns, opts), rel.NumRows(), nil, opts.threadCount())
+}
+
+// Assemble bundles the PLIs of numRows records into an Index: it inverts
+// them into a fresh record matrix and sorts Order. The records prefix holds
+// are copied instead of inverted: prefix is the matrix of an index whose
+// records keep their ids and cluster ids in plis, as an insert-only delta's
+// parent does. The remaining records have the highest ids, so they sit at
+// the tail of every ascending cluster, and only that tail is walked.
+// Inversion runs one attribute per worker, up to threads, and workers write
+// disjoint cells, so the index is identical for every thread count.
+func Assemble(plis []*PLI, numRows int, prefix []int32, threads int) *Index {
+	m := len(plis)
+	ix := &Index{Plis: plis, NumRows: numRows, NumCols: m}
+	ix.Records = make([]int32, numRows*m)
+	copy(ix.Records, prefix)
+	from := 0
+	if m > 0 {
+		from = len(prefix) / m
 	}
-	idx.Records = make([][]int32, idx.NumRows)
-	flat := make([]int32, idx.NumRows*idx.NumCols)
-	for i := range flat {
-		flat[i] = Singleton
+	tail := ix.Records[from*m:]
+	for i := range tail {
+		tail[i] = Singleton
 	}
-	for r := 0; r < idx.NumRows; r++ {
-		idx.Records[r], flat = flat[:idx.NumCols], flat[idx.NumCols:]
-	}
-	invert := func(a int) {
+	ForEachAttr(m, threads, func(a int) {
 		for cid, cluster := range plis[a].Clusters {
-			for _, r := range cluster {
-				idx.Records[r][a] = int32(cid)
+			for i := len(cluster) - 1; i >= 0 && int(cluster[i]) >= from; i-- {
+				ix.Records[int(cluster[i])*m+a] = int32(cid)
 			}
 		}
-	}
-	threads := opts.threadCount()
-	if threads > idx.NumCols {
-		threads = idx.NumCols
-	}
-	if threads <= 1 {
-		for a := range plis {
-			invert(a)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < threads; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for a := range work {
-					invert(a)
-				}
-			}()
-		}
-		for a := range plis {
-			work <- a
-		}
-		close(work)
-		wg.Wait()
-	}
-	idx.Order = make([]int, idx.NumCols)
-	for a := range idx.Order {
-		idx.Order[a] = a
-	}
-	sort.SliceStable(idx.Order, func(i, j int) bool {
-		return plis[idx.Order[i]].NumClusters > plis[idx.Order[j]].NumClusters
 	})
-	return idx
+	ix.Order = make([]int, m)
+	for a := range ix.Order {
+		ix.Order[a] = a
+	}
+	sort.SliceStable(ix.Order, func(i, j int) bool {
+		return plis[ix.Order[i]].NumClusters > plis[ix.Order[j]].NumClusters
+	})
+	return ix
 }
 
 // ForEachClusterSize calls f with the size of every non-singleton cluster

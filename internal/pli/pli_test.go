@@ -2,7 +2,9 @@ package pli
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -85,19 +87,30 @@ func TestNewIndexCompressedRecords(t *testing.T) {
 	if ix.NumRows != 5 || ix.NumCols != 2 {
 		t.Fatalf("dims %dx%d", ix.NumRows, ix.NumCols)
 	}
-	// Records 0,2,4 share Teacher cluster; record 1 and 3 are singletons.
-	if ix.Records[0][0] != ix.Records[2][0] || ix.Records[2][0] != ix.Records[4][0] {
-		t.Fatalf("Teacher clusters: %v %v %v", ix.Records[0], ix.Records[2], ix.Records[4])
+	if len(ix.Records) != ix.NumRows*ix.NumCols {
+		t.Fatalf("len(Records) = %d, want %d", len(ix.Records), ix.NumRows*ix.NumCols)
 	}
-	if ix.Records[1][0] != Singleton || ix.Records[3][0] != Singleton {
+	row := ix.Row
+	// Records 0,2,4 share Teacher cluster; record 1 and 3 are singletons.
+	if row(0)[0] != row(2)[0] || row(2)[0] != row(4)[0] {
+		t.Fatalf("Teacher clusters: %v %v %v", row(0), row(2), row(4))
+	}
+	if row(1)[0] != Singleton || row(3)[0] != Singleton {
 		t.Fatal("singleton Teacher records not marked")
 	}
 	// Subject: {0,1,4} and {2,3}.
-	if ix.Records[0][1] != ix.Records[1][1] || ix.Records[0][1] != ix.Records[4][1] {
+	if row(0)[1] != row(1)[1] || row(0)[1] != row(4)[1] {
 		t.Fatal("Math cluster mismatch")
 	}
-	if ix.Records[2][1] != ix.Records[3][1] || ix.Records[2][1] == ix.Records[0][1] {
+	if row(2)[1] != row(3)[1] || row(2)[1] == row(0)[1] {
 		t.Fatal("English cluster mismatch")
+	}
+	// Row-major: record r's cells are Records[r*NumCols : (r+1)*NumCols].
+	want := []int32{0, Singleton, 0, Singleton, 0}
+	for r, cid := range want {
+		if ix.Records[r*ix.NumCols] != cid {
+			t.Fatalf("Records[%d] = %d, want %d (Teacher of record %d)", r*ix.NumCols, ix.Records[r*ix.NumCols], cid, r)
+		}
 	}
 	// Order: Teacher has 3 distinct values, Subject 2 → Teacher first.
 	if ix.Order[0] != 0 || ix.Order[1] != 1 {
@@ -218,17 +231,125 @@ func TestQuickIntersectAgainstDirect(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildPLI(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	n := 10000
-	col := make([]string, n)
-	for i := range col {
-		col[i] = string(rune('a' + r.Intn(50)))
+// referenceBuild is the map-based PLI build: group the rows of every value
+// in a map of growing slices, then sort the clusters by first record.
+// Build must reproduce it exactly.
+func referenceBuild(attr int, column []string, ns relation.NullSemantics) *PLI {
+	groups := make(map[string][]int32, len(column))
+	nulls := 0
+	for i, v := range column {
+		if v == relation.Null && ns == relation.NullNotEqualsNull {
+			nulls++
+			continue
+		}
+		groups[v] = append(groups[v], int32(i))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	p := &PLI{Attr: attr, NumRows: len(column), NumClusters: nulls}
+	for _, ids := range groups {
+		p.NumClusters++
+		if len(ids) > 1 {
+			p.Clusters = append(p.Clusters, ids)
+		}
+	}
+	sort.Slice(p.Clusters, func(i, j int) bool {
+		return p.Clusters[i][0] < p.Clusters[j][0]
+	})
+	return p
+}
+
+// TestQuickBuildMatchesReference checks Build against referenceBuild on
+// random columns of 0–500 rows with 1 to n distinct values and 0–30% nulls,
+// under both null semantics, with the real hash and with every value
+// hashed to one slot.
+func TestQuickBuildMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(501)
+		distinct := 1 + r.Intn(max(n, 1))
+		nullRate := 0.3 * r.Float64()
+		col := make([]string, n)
+		for i := range col {
+			if r.Float64() < nullRate {
+				col[i] = relation.Null
+				continue
+			}
+			if v := r.Intn(distinct); v > 0 {
+				col[i] = strconv.Itoa(v)
+			} // value 0 is the empty string
+		}
+		for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
+			want := referenceBuild(2, col, ns)
+			for _, collide := range []bool{false, true} {
+				got := build(2, col, ns, collide)
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d, %v, collide %v:\n got %+v\nwant %+v", seed, ns, collide, got, want)
+					return false
+				}
+				for ci, c := range got.Clusters {
+					if cap(c) != len(c) {
+						t.Logf("seed %d: cluster %d has len %d but cap %d", seed, ci, len(c), cap(c))
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildAllocs pins the flat build: a key column must not cost one
+// allocation per distinct value.
+func TestBuildAllocs(t *testing.T) {
+	col := keyColumn(10000)
+	allocs := testing.AllocsPerRun(10, func() {
 		Build(0, col, relation.NullEqualsNull)
+	})
+	if allocs > 8 {
+		t.Fatalf("Build on a 10,000-row key column: %.0f allocations, want at most 8", allocs)
+	}
+}
+
+// keyColumn returns n distinct values in a shuffled order.
+func keyColumn(n int) []string {
+	col := make([]string, n)
+	for i, v := range rand.New(rand.NewSource(7)).Perm(n) {
+		col[i] = strconv.Itoa(v)
+	}
+	return col
+}
+
+// buildSink keeps the benchmarked builds live.
+var buildSink *PLI
+
+// BenchmarkBuildPLI builds one 300,000-row column with few, many, and all
+// distinct values.
+func BenchmarkBuildPLI(b *testing.B) {
+	const n = 300000
+	r := rand.New(rand.NewSource(7))
+	drawn := func(distinct int) []string {
+		col := make([]string, n)
+		for i := range col {
+			col[i] = strconv.Itoa(r.Intn(distinct))
+		}
+		return col
+	}
+	for _, bc := range []struct {
+		name string
+		col  []string
+	}{
+		{"distinct=50", drawn(50)},
+		{"distinct=n/15", drawn(n / 15)},
+		{"key", keyColumn(n)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = Build(0, bc.col, relation.NullEqualsNull)
+			}
+		})
 	}
 }
 

@@ -281,7 +281,7 @@ func (s *Sampler) sortClusters(ctx context.Context) error {
 		for ci, cluster := range p.Clusters {
 			keys = keys[:0]
 			for _, rec := range cluster {
-				k, row := sortKey{rec: rec}, s.ix.Records[rec]
+				k, row := sortKey{rec: rec}, s.ix.Row(int(rec))
 				if left >= 0 {
 					k.left = row[left]
 				}
@@ -467,9 +467,10 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 // semantics.
 func (s *Sampler) agreeSet(agree bitset.Set, a, b int32) {
 	agree.ClearAll()
-	ra, rb := s.ix.Records[a], s.ix.Records[b]
-	for attr := range ra {
-		if ra[attr] != pli.Singleton && ra[attr] == rb[attr] {
+	ra, rb := s.ix.Row(int(a)), s.ix.Row(int(b))
+	rb = rb[:len(ra)] // one bounds check here instead of one per cell
+	for attr, cid := range ra {
+		if cid != pli.Singleton && cid == rb[attr] {
 			agree.Set(attr)
 		}
 	}

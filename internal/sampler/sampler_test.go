@@ -434,7 +434,7 @@ func TestSortClustersNeighborOrder(t *testing.T) {
 				if i < 0 || i >= ix.NumCols {
 					return 0
 				}
-				return ix.Records[rec][ix.Order[i]]
+				return ix.Row(int(rec))[ix.Order[i]]
 			}
 			for ci, cluster := range p.Clusters {
 				want := append([]int32(nil), cluster...)

@@ -148,7 +148,7 @@ func DiscoverHybridDataset(ds *dataset.Dataset) ([]bitset.Set, error) {
 	var agree []bitset.Set
 	observe := func(a, b int32) {
 		s := bitset.New(m)
-		ra, rb := ix.Records[a], ix.Records[b]
+		ra, rb := ix.Row(int(a)), ix.Row(int(b))
 		for attr := 0; attr < m; attr++ {
 			if ra[attr] != pli.Singleton && ra[attr] == rb[attr] {
 				s.Set(attr)

@@ -451,7 +451,7 @@ func (ck *checker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.P
 		mask := ck.resetSlots(len(cluster))
 	records:
 		for _, rec := range cluster {
-			row := ix.Records[rec]
+			row := ix.Row(int(rec))
 			// Hash the non-pivot cluster ids; a singleton makes the record
 			// unique in the LHS, so it joins no group.
 			h := ck.key0
@@ -466,7 +466,7 @@ func (ck *checker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.P
 			slot := h & mask
 			gi := -1
 			for g := ck.slots[slot]; g != 0; g = ck.slots[slot] {
-				if sameGroup(ix.Records[ck.recs[g-1]], row, rest) {
+				if sameGroup(ix.Row(int(ck.recs[g-1])), row, rest) {
 					gi = int(g - 1)
 					break
 				}
@@ -584,9 +584,9 @@ func (c *intersectChecker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set,
 func violationWitness(ix *pli.Index, lp *pli.Partition, rhs int) (pli.Pair, bool) {
 	for _, cluster := range lp.Clusters {
 		first := cluster[0]
-		fid := ix.Records[first][rhs]
+		fid := ix.Row(int(first))[rhs]
 		for _, rec := range cluster[1:] {
-			cid := ix.Records[rec][rhs]
+			cid := ix.Row(int(rec))[rhs]
 			if cid == pli.Singleton || fid == pli.Singleton || cid != fid {
 				return pli.Pair{A: first, B: rec}, true
 			}
