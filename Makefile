@@ -17,12 +17,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus hyfdvet, the project's own static-analysis suite
+# lint runs go vet, a gofmt check that fails on any file gofmt would
+# rewrite, and hyfdvet, the project's own static-analysis suite
 # (determinism, ctxflow, hooksafe, goroutine, bitsetalias, plus the
 # interprocedural tier: lockcheck, leakcheck, statusmap); any unsuppressed
 # finding fails the build, and -strict-allows additionally fails on
 # //hyfdvet:allow comments that no longer suppress anything.
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/hyfdvet -strict-allows ./...
 
 # lint-json emits the same findings as one machine-readable document (CI
@@ -63,8 +66,8 @@ bench-unit:
 bench-json:
 	$(GO) run ./cmd/bench $(BENCH_JSON_FLAGS)
 
-# fuzz-smoke runs the differential fuzzer (public Discover vs the
-# brute-force reference) for a bounded time on top of the committed corpus.
+# fuzz-smoke runs the differential fuzzer (hyfd.Run vs the brute-force
+# reference) for a bounded time on top of the committed corpus.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDiscoverDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
 

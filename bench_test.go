@@ -28,7 +28,7 @@ func benchSpec(b *testing.B, spec harness.Spec) {
 	var last harness.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = harness.Measure(spec, rel)
+		last = harness.Measure(context.Background(), spec, rel)
 		if last.Err != "" {
 			b.Fatal(last.Err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkTable3Memory(b *testing.B) {
 				var peak uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r := harness.Measure(spec, rel)
+					r := harness.Measure(context.Background(), spec, rel)
 					if r.Err != "" {
 						b.Fatal(r.Err)
 					}
@@ -174,7 +174,7 @@ func BenchmarkFig8EfficiencyThreshold(b *testing.B) {
 			var last harness.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				last = harness.Measure(spec, rel)
+				last = harness.Measure(context.Background(), spec, rel)
 				if last.Err != "" {
 					b.Fatal(last.Err)
 				}

@@ -65,7 +65,7 @@ func (d *driver) runOne(job harness.Spec) harness.Result {
 		// cancellation checkpoints abort the run and the harness reports it
 		// as timed out. ML stays unenforced in this mode.
 		ctx, cancel := context.WithTimeout(context.Background(), d.timeout)
-		r = harness.ExecuteInProcessContext(ctx, job)
+		r = harness.ExecuteInProcess(ctx, job)
 		cancel()
 	} else {
 		r = d.runSubprocess(job)

@@ -167,7 +167,7 @@ func runWorker(specJSON string) {
 		fmt.Fprintln(os.Stderr, "bench worker:", err)
 		os.Exit(2)
 	}
-	res := harness.ExecuteInProcess(spec)
+	res := harness.ExecuteInProcess(context.Background(), spec)
 	out, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench worker:", err)

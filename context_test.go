@@ -39,7 +39,7 @@ func TestDeadlineAbortsMidRun(t *testing.T) {
 	for _, name := range []string{hyfd.AlgorithmHyFD, hyfd.AlgorithmFdep, hyfd.AlgorithmTane, hyfd.AlgorithmDfd} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		_, err := hyfd.DiscoverWithContext(ctx, name, rel, hyfd.Options{Threads: 4})
+		_, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Algorithm: name, Options: hyfd.Options{Threads: 4}})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -61,7 +61,7 @@ func TestCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := hyfd.DiscoverContext(ctx, rel, hyfd.Options{Threads: 4})
+	_, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Options: hyfd.Options{Threads: 4}})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -77,8 +77,9 @@ func TestCancelMidRun(t *testing.T) {
 func TestObserverEventSequence(t *testing.T) {
 	rel := syntheticRelation(300, 6, 3, 13)
 	var events []hyfd.Event
-	res, err := hyfd.DiscoverContext(context.Background(), rel, hyfd.Options{
-		Observer: hyfd.ObserverFunc(func(e hyfd.Event) { events = append(events, e) }),
+	res, err := hyfd.Run(context.Background(), hyfd.Request{
+		Relation: rel,
+		Options:  hyfd.Options{Observer: hyfd.ObserverFunc(func(e hyfd.Event) { events = append(events, e) })},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,21 +140,21 @@ func TestObserverEventSequence(t *testing.T) {
 // with errors.Is while the message keeps the available names.
 func TestErrUnknownAlgorithmSentinel(t *testing.T) {
 	rel := hyfd.NewRelation("r", []string{"A"})
-	_, err := hyfd.DiscoverWith("NoSuchAlgo", rel, hyfd.Options{})
+	_, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgo"})
 	if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
 	}
-	_, err = hyfd.DiscoverWithContext(context.Background(), "AlsoMissing", rel, hyfd.Options{})
+	_, err = hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "AlsoMissing"})
 	if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
 	}
 }
 
-// TestBaselineStatsAndMaxLhs: DiscoverWith must report dataset-shape stats
+// TestBaselineStatsAndMaxLhs: a baseline run must report dataset-shape stats
 // for baselines and honor the MaxLhsSize option.
 func TestBaselineStatsAndMaxLhs(t *testing.T) {
 	rel := syntheticRelation(40, 5, 2, 14)
-	full, err := hyfd.DiscoverWith(hyfd.AlgorithmTane, rel, hyfd.Options{})
+	full, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: hyfd.AlgorithmTane})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestBaselineStatsAndMaxLhs(t *testing.T) {
 		t.Fatalf("baseline stats = %+v", s)
 	}
 	for _, name := range []string{hyfd.AlgorithmTane, hyfd.AlgorithmFdep, hyfd.AlgorithmFastFDs} {
-		bounded, err := hyfd.DiscoverWith(name, rel, hyfd.Options{MaxLhsSize: 1})
+		bounded, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: name, Options: hyfd.Options{MaxLhsSize: 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -58,9 +58,10 @@ func TestDatasetWarmMatchesCold(t *testing.T) {
 				// Cold reference runs, preprocessing from scratch each time.
 				cold := make(map[string]*hyfd.Result)
 				for _, alg := range hyfd.Algorithms() {
-					res, err := hyfd.DiscoverWithContext(ctx, alg, rel, hyfd.Options{
-						NullSemantics: sem.ns,
-						Threads:       threads,
+					res, err := hyfd.Run(ctx, hyfd.Request{
+						Relation:  rel,
+						Algorithm: alg,
+						Options:   hyfd.Options{NullSemantics: sem.ns, Threads: threads},
 					})
 					if err != nil {
 						t.Fatalf("%s cold: %v", alg, err)
@@ -85,7 +86,7 @@ func TestDatasetWarmMatchesCold(t *testing.T) {
 						wg.Add(1)
 						go func(alg string) {
 							defer wg.Done()
-							got, err := hyfd.DiscoverDatasetWith(ctx, alg, ds, hyfd.Options{Threads: threads})
+							got, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Algorithm: alg, Options: hyfd.Options{Threads: threads}})
 							if err != nil {
 								errs <- fmt.Errorf("%s warm: %w", alg, err)
 								return
@@ -126,34 +127,33 @@ func TestDatasetApproximateAndUCCs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	aOpts := hyfd.ApproximateOptions{MaxError: 0.05}
-	coldA, err := hyfd.DiscoverApproximate(rel, aOpts)
+	coldA, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmA, err := hyfd.DiscoverApproximateDataset(ds, aOpts)
+	warmA, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Mode: hyfd.ModeAFD, MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(coldA, warmA) {
-		t.Fatalf("approximate FDs diverge:\ncold: %v\nwarm: %v", coldA, warmA)
+	if !reflect.DeepEqual(coldA.AFDs, warmA.AFDs) {
+		t.Fatalf("approximate FDs diverge:\ncold: %v\nwarm: %v", coldA.AFDs, warmA.AFDs)
 	}
 
-	coldU, err := hyfd.DiscoverUCCs(rel, hyfd.NullEqualsNull, 0)
+	coldU, err := hyfd.Run(ctx, hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmU, err := hyfd.DiscoverUCCsDataset(ds, 0)
+	warmU, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Mode: hyfd.ModeUCC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(coldU, warmU) {
-		t.Fatalf("UCCs diverge:\ncold: %v\nwarm: %v", coldU, warmU)
+	if !reflect.DeepEqual(coldU.UCCs, warmU.UCCs) {
+		t.Fatalf("UCCs diverge:\ncold: %v\nwarm: %v", coldU.UCCs, warmU.UCCs)
 	}
 }
 
-// TestDatasetErrorContract pins the error behavior of the Dataset entry
-// points: nil Datasets are rejected, and the warm dispatcher reports
+// TestDatasetErrorContract pins the error behavior of warm requests: nil
+// Datasets are rejected in every mode, and the warm dispatcher reports
 // unknown names exactly like the cold one.
 func TestDatasetErrorContract(t *testing.T) {
 	ctx := context.Background()
@@ -162,20 +162,18 @@ func TestDatasetErrorContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hyfd.DiscoverDatasetWith(ctx, "NoSuchAlgorithm", ds, hyfd.Options{}); !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
+	if _, err := hyfd.Run(ctx, hyfd.Request{Dataset: ds, Algorithm: "NoSuchAlgorithm"}); !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 		t.Fatalf("unknown name: err = %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := hyfd.DiscoverDataset(ctx, nil, hyfd.Options{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverDataset")
-	}
-	if _, err := hyfd.DiscoverDatasetWith(ctx, hyfd.AlgorithmTane, nil, hyfd.Options{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverDatasetWith")
-	}
-	if _, err := hyfd.DiscoverApproximateDataset(nil, hyfd.ApproximateOptions{}); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverApproximateDataset")
-	}
-	if _, err := hyfd.DiscoverUCCsDataset(nil, 0); err == nil {
-		t.Fatal("nil dataset accepted by DiscoverUCCsDataset")
+	for _, req := range []hyfd.Request{
+		{Dataset: nil},
+		{Dataset: nil, Algorithm: hyfd.AlgorithmTane},
+		{Dataset: nil, Mode: hyfd.ModeAFD},
+		{Dataset: nil, Mode: hyfd.ModeUCC},
+	} {
+		if _, err := hyfd.Run(ctx, req); err == nil {
+			t.Fatalf("nil dataset accepted by %+v", req)
+		}
 	}
 	if _, err := hyfd.Prepare(ctx, nil, hyfd.PrepareOptions{}); err == nil {
 		t.Fatal("nil relation accepted by Prepare")

@@ -19,12 +19,12 @@ func TestDiscoverThreadCountDeterminism(t *testing.T) {
 	}
 	for name, rel := range rels {
 		for _, ns := range []hyfd.NullSemantics{hyfd.NullEqualsNull, hyfd.NullNotEqualsNull} {
-			base, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: 1})
+			base, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, threads := range []int{0, 2, 8} {
-				res, err := hyfd.Discover(rel, hyfd.Options{NullSemantics: ns, Threads: threads})
+				res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{NullSemantics: ns, Threads: threads}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,18 +93,18 @@ func TestRankedThreadCountDeterminism(t *testing.T) {
 // zero and negative ones (which must agree with each other).
 func TestDiscoverThreadsResolvedInStats(t *testing.T) {
 	rel := metamorphicRelation(30, 7)
-	explicit, err := hyfd.Discover(rel, hyfd.Options{Threads: 3})
+	explicit, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{Threads: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if explicit.Stats.Threads != 3 {
 		t.Fatalf("Stats.Threads = %d, want 3", explicit.Stats.Threads)
 	}
-	zero, err := hyfd.Discover(rel, hyfd.Options{Threads: 0})
+	zero, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{Threads: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	negative, err := hyfd.Discover(rel, hyfd.Options{Threads: -4})
+	negative, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{Threads: -4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	dirty := addressData(true)
 
 	// 1. Learn the rules from the clean sample.
-	result, err := hyfd.Discover(clean, hyfd.Options{})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: clean})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func main() {
 	// with approximate FDs: a rule violated by only a few records is
 	// likely a true rule plus errors.
 	fmt.Println("\napproximate FDs mined from the dirty data (g3 <= 5%):")
-	afds, err := hyfd.DiscoverApproximate(dirty, hyfd.ApproximateOptions{MaxError: 0.05})
+	approx, err := hyfd.Run(context.Background(), hyfd.Request{Relation: dirty, Mode: hyfd.ModeAFD, MaxError: 0.05})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, a := range afds {
+	for _, a := range approx.AFDs {
 		if a.Error == 0 || a.Lhs.Cardinality() != 1 {
 			continue // exact or composite rules: not interesting here
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
@@ -23,7 +24,7 @@ func main() {
 	fmt.Printf("schema: %s(%s), %d rows\n\n", rel.Name,
 		strings.Join(rel.Columns, ", "), rel.NumRows())
 
-	result, err := hyfd.Discover(rel, hyfd.Options{})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		log.Fatal(err)
 	}

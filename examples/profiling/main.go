@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	var reference *hyfd.Result
 	for _, alg := range hyfd.Algorithms() {
 		start := time.Now()
-		res, err := hyfd.DiscoverWith(alg, rel, hyfd.Options{})
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: alg})
 		elapsed := time.Since(start)
 		if err != nil {
 			log.Fatalf("%s: %v", alg, err)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		rel.AppendRow(row)
 	}
 
-	result, err := hyfd.Discover(rel, hyfd.Options{})
+	result, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 
 	// The same discovery through one of the seven baseline algorithms —
 	// every implementation returns the identical minimal FD set.
-	tane, err := hyfd.DiscoverWith(hyfd.AlgorithmTane, rel, hyfd.Options{})
+	tane, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: hyfd.AlgorithmTane})
 	if err != nil {
 		log.Fatal(err)
 	}

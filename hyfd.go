@@ -22,9 +22,9 @@
 //	}
 //
 // Run is the single entry point: one request struct selects the input (a
-// raw Relation or a prepared Dataset), the workload (exact FDs, approximate
-// FDs, or unique column combinations), and the algorithm. The historical
-// Discover* functions remain as thin deprecated shims over Run.
+// raw Relation or a prepared Dataset), the workload (exact, approximate,
+// ranked, or incrementally maintained FDs, or unique column combinations),
+// and the algorithm.
 //
 // The companion packages expose the use-case layer the paper motivates:
 // candidate keys, closures, schema normalization (BCNF/3NF) and FD-based
@@ -47,8 +47,9 @@ import (
 	"hyfd/internal/relation"
 )
 
-// ErrUnknownAlgorithm is returned (wrapped) by Run and the Discover* shims
-// when the algorithm name is not registered; test with errors.Is.
+// ErrUnknownAlgorithm is returned (wrapped) by Run when the algorithm name
+// is not registered, or when a mode with a single built-in strategy is
+// given one; test with errors.Is.
 var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
 // Relation is a named relational instance (schema + rows of string cells).
@@ -149,8 +150,8 @@ type RankedFD = rank.FD
 
 // Result bundles one Run's discoveries with its telemetry. Exactly one of
 // the payload groups is populated, matching the request's Mode: FDs/Set for
-// ModeFD, AFDs for ModeAFD, UCCs for ModeUCC, Ranked for ModeRanked. Stats
-// is always set.
+// ModeFD, AFDs for ModeAFD, UCCs for ModeUCC, Ranked for ModeRanked, and
+// FDs/Set/Dataset for ModeIncremental. Stats is always set.
 type Result struct {
 	// FDs holds all discovered minimal, non-trivial FDs in canonical
 	// order (ModeFD).
@@ -174,45 +175,6 @@ type Result struct {
 	// Stats reports phase switches, comparisons, validations, and whether
 	// the result is complete.
 	Stats *Stats
-}
-
-// Discover runs HyFD on the relation.
-//
-// Deprecated: Use Run with a Request instead.
-func Discover(rel *Relation, opts Options) (*Result, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	return Run(context.Background(), Request{Relation: rel, Options: opts})
-}
-
-// DiscoverContext runs HyFD on the relation under the given context.
-// Cancellation checkpoints sit inside every long-running engine loop; once
-// ctx is canceled or its deadline passes, the run returns promptly with an
-// error wrapping ctx.Err() (test with errors.Is against context.Canceled or
-// context.DeadlineExceeded).
-//
-// Deprecated: Use Run with a Request instead.
-func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (*Result, error) {
-	return Run(ctx, Request{Relation: rel, Options: opts})
-}
-
-// DiscoverWith runs the named algorithm instead of HyFD.
-//
-// Deprecated: Use Run with a Request instead.
-func DiscoverWith(algorithm string, rel *Relation, opts Options) (*Result, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	return Run(context.Background(), Request{Relation: rel, Algorithm: algorithm, Options: opts})
-}
-
-// DiscoverWithContext runs the named algorithm under the given context; see
-// Algorithms for the available names. The baselines honor NullSemantics and
-// MaxLhsSize and share the engine's cancellation contract; the remaining
-// options (thresholds, threads, memory budget, observer) apply only to
-// "HyFD" itself. An unregistered name returns an error wrapping
-// ErrUnknownAlgorithm.
-//
-// Deprecated: Use Run with a Request instead.
-func DiscoverWithContext(ctx context.Context, algorithm string, rel *Relation, opts Options) (*Result, error) {
-	return Run(ctx, Request{Relation: rel, Algorithm: algorithm, Options: opts})
 }
 
 // Dataset is an immutable, goroutine-safe preprocessing artifact: the
@@ -248,7 +210,7 @@ type PrepareOptions struct {
 	Threads int
 	// Observer, when non-nil, receives the preprocessing trace events
 	// (PLIBuilt per attribute, then PreprocessingDone) exactly as a cold
-	// Discover would emit them.
+	// Run would emit them.
 	Observer Observer
 	// Metrics, when non-nil, collects preprocessing telemetry (PLI build
 	// durations, cluster sizes) into the registry's hyfd_* families.
@@ -257,7 +219,7 @@ type PrepareOptions struct {
 
 // Prepare runs HyFD's preprocessing (Algorithm 1: PLI construction and
 // record inversion) once over the relation and returns the immutable
-// Dataset every discovery entry point can consume. Preprocessing is
+// Dataset that any number of warm Run requests can share. Preprocessing is
 // bit-for-bit deterministic for every thread count. The context is honored;
 // a canceled context returns an error wrapping ctx.Err().
 func Prepare(ctx context.Context, rel *Relation, opts PrepareOptions) (*Dataset, error) {
@@ -269,116 +231,6 @@ func Prepare(ctx context.Context, rel *Relation, opts PrepareOptions) (*Dataset,
 	})
 }
 
-// DiscoverDataset runs HyFD over a prepared Dataset — a warm run that skips
-// preprocessing entirely. The result is bit-for-bit identical to a cold run
-// on the underlying relation at the same thread count; Stats.Warm is set
-// and Stats.PreprocessingTime covers only the (near-zero) reuse overhead.
-// Because the Dataset is immutable, any number of warm runs may execute
-// concurrently over the same value.
-//
-// Deprecated: Use Run with a Request instead.
-func DiscoverDataset(ctx context.Context, ds *Dataset, opts Options) (*Result, error) {
-	return Run(ctx, Request{Dataset: ds, Options: opts})
-}
-
-// DiscoverDatasetWith runs the named algorithm over a prepared Dataset; see
-// Algorithms for the available names. "HyFD" dispatches to the engine; the
-// baselines run warm against the shared PLIs with per-run intersection
-// caches, honoring MaxLhsSize. The Dataset's null semantics apply
-// regardless of opts.NullSemantics. An unregistered name returns an error
-// wrapping ErrUnknownAlgorithm.
-//
-// Deprecated: Use Run with a Request instead.
-func DiscoverDatasetWith(ctx context.Context, algorithm string, ds *Dataset, opts Options) (*Result, error) {
-	return Run(ctx, Request{Dataset: ds, Algorithm: algorithm, Options: opts})
-}
-
 // ApproximateFD is an approximate functional dependency with its g3 error:
 // the minimum fraction of records whose removal makes the FD exact.
 type ApproximateFD = afd.AFD
-
-// ApproximateOptions parameterizes DiscoverApproximate.
-//
-// Deprecated: Use Run with Mode ModeAFD instead; MaxError maps onto
-// Request.MaxError and the rest onto Request.Options.
-type ApproximateOptions struct {
-	// MaxError is the g3 threshold ε ∈ [0,1); 0 reproduces exact discovery.
-	MaxError float64
-	// NullSemantics selects the null comparison semantics.
-	NullSemantics NullSemantics
-	// MaxLhsSize bounds LHS sizes (0 = unbounded).
-	MaxLhsSize int
-}
-
-// DiscoverApproximate finds all minimal approximate FDs whose g3 error does
-// not exceed the threshold — the relaxation used on dirty data, where rules
-// hold for almost all records (see the cleansing example).
-//
-// Deprecated: Use Run with Mode ModeAFD instead.
-func DiscoverApproximate(rel *Relation, opts ApproximateOptions) ([]ApproximateFD, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	result, err := Run(context.Background(), Request{
-		Relation: rel,
-		Mode:     ModeAFD,
-		MaxError: opts.MaxError,
-		Options:  Options{NullSemantics: opts.NullSemantics, MaxLhsSize: opts.MaxLhsSize},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result.AFDs, nil
-}
-
-// DiscoverApproximateDataset is DiscoverApproximate over a prepared
-// Dataset, reusing its PLIs instead of re-preprocessing. The Dataset's null
-// semantics apply; opts.NullSemantics is ignored.
-//
-// Deprecated: Use Run with Mode ModeAFD instead.
-func DiscoverApproximateDataset(ds *Dataset, opts ApproximateOptions) ([]ApproximateFD, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	result, err := Run(context.Background(), Request{
-		Dataset:  ds,
-		Mode:     ModeAFD,
-		MaxError: opts.MaxError,
-		Options:  Options{MaxLhsSize: opts.MaxLhsSize},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result.AFDs, nil
-}
-
-// DiscoverUCCs returns all minimal unique column combinations (candidate
-// keys of the instance), the sister problem of FD discovery. maxSize
-// bounds the combination size (0 = unbounded).
-//
-// Deprecated: Use Run with Mode ModeUCC instead.
-func DiscoverUCCs(rel *Relation, ns NullSemantics, maxSize int) ([]AttrSet, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	result, err := Run(context.Background(), Request{
-		Relation: rel,
-		Mode:     ModeUCC,
-		Options:  Options{NullSemantics: ns, MaxLhsSize: maxSize},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result.UCCs, nil
-}
-
-// DiscoverUCCsDataset is DiscoverUCCs over a prepared Dataset, reusing its
-// PLIs instead of re-preprocessing. The Dataset's null semantics apply.
-//
-// Deprecated: Use Run with Mode ModeUCC instead.
-func DiscoverUCCsDataset(ds *Dataset, maxSize int) ([]AttrSet, error) {
-	//hyfdvet:allow ctxflow — public no-context compat shim; Run is the primary API
-	result, err := Run(context.Background(), Request{
-		Dataset: ds,
-		Mode:    ModeUCC,
-		Options: Options{MaxLhsSize: maxSize},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result.UCCs, nil
-}

@@ -1,6 +1,7 @@
 package hyfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestPublicAPIDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hyfd.Discover(rel, hyfd.Options{})
+	res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestAllAlgorithmsAgreeOnPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hyfd.Discover(rel, hyfd.Options{})
+	want, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestAllAlgorithmsAgreeOnPublicAPI(t *testing.T) {
 		t.Fatalf("Algorithms() = %v", algos)
 	}
 	for _, name := range algos {
-		got, err := hyfd.DiscoverWith(name, rel, hyfd.Options{})
+		got, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -73,7 +74,7 @@ func TestAllAlgorithmsAgreeOnPublicAPI(t *testing.T) {
 
 func TestDiscoverWithUnknownAlgorithm(t *testing.T) {
 	rel := hyfd.NewRelation("r", []string{"A"})
-	if _, err := hyfd.DiscoverWith("NoSuchAlgo", rel, hyfd.Options{}); err == nil {
+	if _, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgo"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -86,10 +87,11 @@ func TestDiscoverApproximatePublicAPI(t *testing.T) {
 	}
 	rel.AppendRow([]string{"14482", "Typo"})
 	rel.AppendRow([]string{"10115", "Typo2"})
-	afds, err := hyfd.DiscoverApproximate(rel, hyfd.ApproximateOptions{MaxError: 0.1})
+	res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, MaxError: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	afds := res.AFDs
 	found := false
 	for _, a := range afds {
 		if a.Rhs == 1 && a.Lhs.Test(0) && a.Error > 0 {
@@ -106,10 +108,11 @@ func TestDiscoverUCCsPublicAPI(t *testing.T) {
 	rel.AppendRow([]string{"1", "a"})
 	rel.AppendRow([]string{"2", "a"})
 	rel.AppendRow([]string{"3", "b"})
-	uccs, err := hyfd.DiscoverUCCs(rel, hyfd.NullEqualsNull, 0)
+	res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC})
 	if err != nil {
 		t.Fatal(err)
 	}
+	uccs := res.UCCs
 	if len(uccs) != 1 || !uccs[0].Equal(hyfd.NewAttrSet(2, 0)) {
 		t.Fatalf("UCCs = %v", uccs)
 	}

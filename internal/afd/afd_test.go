@@ -1,16 +1,28 @@
 package afd
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
 )
+
+// discoverRel prepares rel single-threaded under ⊥=⊥ and runs Discover
+// over it.
+func discoverRel(rel *relation.Relation, opts Options) ([]AFD, error) {
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return Discover(context.Background(), ds, opts)
+}
 
 func zipCity(dirtyRows int) *relation.Relation {
 	rel := relation.New("addr", []string{"Zip", "City"})
@@ -137,7 +149,7 @@ func TestDiscoverZeroErrorEqualsExact(t *testing.T) {
 			}
 			rel.AppendRow(row)
 		}
-		afds, err := Discover(rel, Options{MaxError: 0})
+		afds, err := discoverRel(rel, Options{MaxError: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +170,7 @@ func TestDiscoverZeroErrorEqualsExact(t *testing.T) {
 
 func TestDiscoverTolerantThreshold(t *testing.T) {
 	rel := zipCity(4) // Zip→City violated by 4/44 ≈ 9 %
-	exact, err := Discover(rel, Options{MaxError: 0})
+	exact, err := discoverRel(rel, Options{MaxError: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,7 @@ func TestDiscoverTolerantThreshold(t *testing.T) {
 			t.Fatal("Zip→City should not be exact on dirty data")
 		}
 	}
-	loose, err := Discover(rel, Options{MaxError: 0.1})
+	loose, err := discoverRel(rel, Options{MaxError: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestDiscoverMinimality(t *testing.T) {
 			strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(3)),
 		})
 	}
-	afds, err := Discover(rel, Options{MaxError: 0.05})
+	afds, err := discoverRel(rel, Options{MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +235,7 @@ func TestDiscoverMaxLhs(t *testing.T) {
 		}
 		rel.AppendRow(row)
 	}
-	afds, err := Discover(rel, Options{MaxError: 0, MaxLhs: 2})
+	afds, err := discoverRel(rel, Options{MaxError: 0, MaxLhs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +247,11 @@ func TestDiscoverMaxLhs(t *testing.T) {
 }
 
 func TestDiscoverEdgeCases(t *testing.T) {
-	if afds, err := Discover(relation.New("z", nil), Options{}); err != nil || afds != nil {
+	if afds, err := discoverRel(relation.New("z", nil), Options{}); err != nil || afds != nil {
 		t.Fatalf("zero-column: %v %v", afds, err)
 	}
 	bad := relation.New("d", []string{"A", "A"})
-	if _, err := Discover(bad, Options{}); err == nil {
+	if _, err := discoverRel(bad, Options{}); err == nil {
 		t.Fatal("invalid relation accepted")
 	}
 }

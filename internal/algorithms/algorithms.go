@@ -12,26 +12,21 @@
 // records are read-only, and per-run mutable state (partition caches,
 // intersectors) is created fresh inside every Discover call, so concurrent
 // runs over one Dataset are race-clean. Callers holding only a raw relation
-// use the DiscoverRelation shim.
+// prepare it first with dataset.Prepare.
 package algorithms
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
-	"hyfd/internal/relation"
 )
 
 // Config carries the cross-algorithm discovery parameters. The zero value
-// selects null=null semantics and unbounded LHS sizes.
+// selects unbounded LHS sizes. Null semantics come from the Dataset: the
+// PLIs were built under them.
 type Config struct {
-	// NullSemantics selects ⊥=⊥ (default) or ⊥≠⊥ comparisons. It only
-	// applies when preprocessing runs (DiscoverRelation); Dataset-based
-	// Discover calls always use the semantics the PLIs were built under.
-	NullSemantics relation.NullSemantics
 	// MaxLhsSize bounds result LHS cardinality (0 = unbounded). The result
 	// is then exactly the minimal FDs with |LHS| ≤ MaxLhsSize: a truncation
 	// of the complete result, never an approximation of it.
@@ -51,24 +46,6 @@ type Algorithm interface {
 	// ctx.Err() promptly once the context is canceled or its deadline
 	// passes.
 	Discover(ctx context.Context, ds *dataset.Dataset, cfg Config) (*fd.Set, error)
-}
-
-// DiscoverRelation runs alg on a raw relation by preparing a throwaway
-// Dataset first — the pre-Dataset behavior of every baseline. Preprocessing
-// runs single-threaded, matching the historical sequential builds of the
-// baselines, under cfg.NullSemantics.
-func DiscoverRelation(ctx context.Context, alg Algorithm, rel *relation.Relation, cfg Config) (*fd.Set, error) {
-	if alg == nil {
-		return nil, errors.New("algorithms: nil algorithm")
-	}
-	ds, err := dataset.Prepare(ctx, rel, dataset.Options{
-		NullSemantics: cfg.NullSemantics,
-		Threads:       1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", alg.Name(), err)
-	}
-	return alg.Discover(ctx, ds, cfg)
 }
 
 // Canceled converts a context cancellation into the error contract of

@@ -49,10 +49,20 @@ func ClassRelation() *relation.Relation {
 	return rel
 }
 
+// discover runs alg cold: it prepares rel single-threaded under ns, then
+// discovers over the fresh Dataset.
+func discover(ctx context.Context, alg algorithms.Algorithm, rel *relation.Relation, ns relation.NullSemantics, cfg algorithms.Config) (*fd.Set, error) {
+	ds, err := dataset.Prepare(ctx, rel, dataset.Options{NullSemantics: ns, Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return alg.Discover(ctx, ds, cfg)
+}
+
 // check asserts the algorithm reproduces the brute-force result.
 func check(t *testing.T, alg algorithms.Algorithm, rel *relation.Relation, ns relation.NullSemantics) {
 	t.Helper()
-	got, err := algorithms.DiscoverRelation(context.Background(), alg, rel, algorithms.Config{NullSemantics: ns})
+	got, err := discover(context.Background(), alg, rel, ns, algorithms.Config{})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", alg.Name(), rel.Name, err)
 	}
@@ -155,7 +165,7 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 		rel.Name = "bounded-lhs"
 		full := fd.BruteForce(rel, relation.NullEqualsNull)
 		for max := 1; max <= 3; max++ {
-			got, err := algorithms.DiscoverRelation(context.Background(), alg, rel, algorithms.Config{MaxLhsSize: max})
+			got, err := discover(context.Background(), alg, rel, relation.NullEqualsNull, algorithms.Config{MaxLhsSize: max})
 			if err != nil {
 				t.Fatalf("%s max=%d: %v", alg.Name(), max, err)
 			}
@@ -168,12 +178,16 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 	})
 
 	t.Run("canceled context", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
 		r := rand.New(rand.NewSource(seed + 3))
 		rel := RandomRelation(r, 60, 5, 3)
 		rel.Name = "canceled"
-		if _, err := algorithms.DiscoverRelation(ctx, alg, rel, algorithms.Config{}); !errors.Is(err, context.Canceled) {
+		ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := alg.Discover(ctx, ds, algorithms.Config{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", alg.Name(), err)
 		}
 	})
@@ -192,8 +206,8 @@ func RunConformance(t *testing.T, alg algorithms.Algorithm, seed int64) {
 		}
 		rel.Name = "warm-reuse"
 		for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
-			cfg := algorithms.Config{NullSemantics: ns}
-			want, err := algorithms.DiscoverRelation(context.Background(), alg, rel, cfg)
+			cfg := algorithms.Config{}
+			want, err := discover(context.Background(), alg, rel, ns, cfg)
 			if err != nil {
 				t.Fatalf("%s cold (%v): %v", alg.Name(), ns, err)
 			}

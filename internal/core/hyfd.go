@@ -14,6 +14,7 @@ import (
 
 	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
+	"hyfd/internal/fdtree"
 	"hyfd/internal/guardian"
 	"hyfd/internal/inductor"
 	"hyfd/internal/metrics"
@@ -149,42 +150,33 @@ func (t statsTimers) Observe(e trace.Event) {
 // The context is honored at cancellation checkpoints inside the sampler's
 // cluster-window loops and the validator's level traversal (including its
 // parallel workers): a canceled or expired context makes Discover return
-// promptly with an error wrapping ctx.Err(). A nil ctx is treated as
-// context.Background().
+// promptly with an error wrapping ctx.Err().
 func Discover(ctx context.Context, rel *relation.Relation, cfg Config) (*fd.Set, *Stats, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
-	}
-	if rel == nil {
-		return nil, nil, errors.New("hyfd: nil relation")
-	}
-	if err := rel.Validate(); err != nil {
+	s, err := begin(ctx, rel, nil, cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	stats := &Stats{Rows: rel.NumRows(), Cols: rel.NumCols(), Complete: true, Threads: threads}
-	if rel.NumCols() == 0 {
-		stats.MaxLhs = 0
-		return fd.NewSet(0), stats, nil
-	}
-	em := metrics.NewEngineMetrics(cfg.Metrics) // nil registry → nil, all hooks no-ops
-	obs := trace.Multi(statsTimers{stats}, em.Observer(), cfg.Observer)
-	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, interrupted(err)
-	}
-	// Preprocessor (Alg. 1). The relation was already validated above, so
-	// any error out of prepare is a context interruption.
-	ds, err := prepare(ctx, rel, cfg.NullSemantics, threads, obs, em)
+	return s.cover(ctx)
+}
+
+// DiscoverDataset runs HyFD over an already-prepared Dataset — a warm run.
+// It never rebuilds PLIs: Stats.Warm is set, Stats.PreprocessingTime covers
+// only the (near-zero) reuse overhead, and observers receive a single
+// PreprocessingDone event with Warm set instead of the build sequence.
+//
+// cfg.NullSemantics is ignored: the Dataset's PLIs were built under
+// ds.NullSemantics() and a conflicting option could not be honored without
+// rebuilding. cfg.Threads > 0 overrides the worker count for sampling and
+// validation; any value <= 0 inherits the dataset's resolved count. Because
+// the Dataset is immutable, any number of DiscoverDataset calls may run
+// concurrently over the same ds, and each produces a result bit-for-bit
+// identical to a cold Discover at the same thread count.
+func DiscoverDataset(ctx context.Context, ds *dataset.Dataset, cfg Config) (*fd.Set, *Stats, error) {
+	s, err := begin(ctx, nil, ds, cfg)
 	if err != nil {
-		return nil, nil, interrupted(err)
+		return nil, nil, err
 	}
-	return run(ctx, ds.Index(), cfg, threads, stats, obs, em, start)
+	return s.cover(ctx)
 }
 
 // Prepare runs HyFD's preprocessing (Alg. 1: PLI construction + record
@@ -195,10 +187,6 @@ func Discover(ctx context.Context, rel *relation.Relation, cfg Config) (*fd.Set,
 // would emit. Only cfg.NullSemantics, cfg.Threads, cfg.Observer, and
 // cfg.Metrics are consulted.
 func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.Dataset, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
-	}
 	if rel == nil {
 		return nil, errors.New("hyfd: nil relation")
 	}
@@ -253,69 +241,109 @@ func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemant
 	return ds, nil
 }
 
-// DiscoverDataset runs HyFD over an already-prepared Dataset — a warm run.
-// It never rebuilds PLIs: Stats.Warm is set, Stats.PreprocessingTime covers
-// only the (near-zero) reuse overhead, and observers receive a single
-// PreprocessingDone event with Warm set instead of the build sequence.
-//
-// cfg.NullSemantics is ignored: the Dataset's PLIs were built under
-// ds.NullSemantics() and a conflicting option could not be honored without
-// rebuilding. cfg.Threads > 0 overrides the worker count for sampling and
-// validation; any value <= 0 inherits the dataset's resolved count. Because
-// the Dataset is immutable, any number of DiscoverDataset calls may run
-// concurrently over the same ds, and each produces a result bit-for-bit
-// identical to a cold Discover at the same thread count.
-func DiscoverDataset(ctx context.Context, ds *dataset.Dataset, cfg Config) (*fd.Set, *Stats, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the engine's public boundary
-		ctx = context.Background()
-	}
-	if ds == nil {
-		return nil, nil, errors.New("hyfd: nil dataset")
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = ds.Threads()
-	}
-	stats := &Stats{Rows: ds.NumRows(), Cols: ds.NumCols(), Complete: true, Threads: threads, Warm: true}
-	if ds.NumCols() == 0 {
-		stats.MaxLhs = 0
-		return fd.NewSet(0), stats, nil
-	}
-	em := metrics.NewEngineMetrics(cfg.Metrics)
-	obs := trace.Multi(statsTimers{stats}, em.Observer(), cfg.Observer)
-	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, interrupted(err)
-	}
-	trace.Emit(obs, trace.PreprocessingDone{
-		Rows: stats.Rows, Cols: stats.Cols, Threads: threads, Warm: true,
-		//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-		Duration: time.Since(start),
-	})
-	return run(ctx, ds.Index(), cfg, threads, stats, obs, em, start)
+// session is one discovery run: its configuration, the prepared index,
+// the candidate tree, and the telemetry it reports through.
+type session struct {
+	cfg     Config
+	threads int
+	stats   *Stats
+	obs     trace.Observer
+	em      *metrics.EngineMetrics
+	start   time.Time
+	// ix and ind are nil when the input has no columns: the result is then
+	// empty and the run emits no events.
+	ix  *pli.Index
+	ind *inductor.Inductor
 }
 
-// run executes the alternating Phase 1 / Phase 2 loop over a prepared PLI
-// index. It is shared by cold runs (Discover, after building the index) and
-// warm runs (DiscoverDataset); the index is only read.
-func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Stats, obs trace.Observer, em *metrics.EngineMetrics, start time.Time) (*fd.Set, *Stats, error) {
-	smp := sampler.New(ix, sampler.Config{
-		Threshold:   cfg.EfficiencyThreshold,
-		Threads:     threads,
-		Unfocused:   cfg.UnfocusedSampling,
-		Instruments: em.Sampler(),
-	})
-	ind := inductor.New(ix.NumCols)
-	if cfg.MaxLhsSize > 0 && cfg.MaxLhsSize < ix.NumCols {
-		ind.Tree().SetMaxLhs(cfg.MaxLhsSize)
-		stats.Complete = false
+// begin is the setup every entry shares. It resolves the worker count,
+// builds Stats and the observer chain, and starts the clock. A cold run
+// (rel set, ds nil) then prepares rel, emitting PLIBuilt events and
+// PreprocessingDone; a warm run (ds set) emits PreprocessingDone with Warm
+// set. Finally it seeds the candidate tree under cfg.MaxLhsSize.
+func begin(ctx context.Context, rel *relation.Relation, ds *dataset.Dataset, cfg Config) (*session, error) {
+	s := &session{cfg: cfg, threads: cfg.Threads}
+	switch {
+	case ds != nil:
+		s.stats = &Stats{Rows: ds.NumRows(), Cols: ds.NumCols(), Warm: true}
+		if s.threads <= 0 {
+			s.threads = ds.Threads()
+		}
+	case rel == nil:
+		return nil, errors.New("hyfd: nil relation or dataset")
+	default:
+		if err := rel.Validate(); err != nil {
+			return nil, err
+		}
+		s.stats = &Stats{Rows: rel.NumRows(), Cols: rel.NumCols()}
+		if s.threads <= 0 {
+			s.threads = runtime.GOMAXPROCS(0)
+		}
 	}
+	s.stats.Complete, s.stats.Threads = true, s.threads
+	if s.stats.Cols == 0 {
+		return s, nil
+	}
+	s.em = metrics.NewEngineMetrics(cfg.Metrics) // nil registry → nil, all hooks no-ops
+	s.obs = trace.Multi(statsTimers{s.stats}, s.em.Observer(), cfg.Observer)
+	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
+	s.start = time.Now()
+	if err := ctx.Err(); err != nil {
+		return nil, interrupted(err)
+	}
+	if ds == nil {
+		// Preprocessor (Alg. 1). The relation was already validated above,
+		// so any error out of prepare is a context interruption.
+		var err error
+		if ds, err = prepare(ctx, rel, cfg.NullSemantics, s.threads, s.obs, s.em); err != nil {
+			return nil, interrupted(err)
+		}
+	} else {
+		trace.Emit(s.obs, trace.PreprocessingDone{
+			Rows: s.stats.Rows, Cols: s.stats.Cols, Threads: s.threads, Warm: true,
+			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
+			Duration: time.Since(s.start),
+		})
+	}
+	s.ix = ds.Index()
+	s.ind = inductor.New(s.ix.NumCols)
+	if cfg.MaxLhsSize > 0 && cfg.MaxLhsSize < s.ix.NumCols {
+		s.ind.Tree().SetMaxLhs(cfg.MaxLhsSize)
+		s.stats.Complete = false
+	}
+	return s, nil
+}
+
+// cover runs the engine loop in fd mode and extracts the complete cover.
+func (s *session) cover(ctx context.Context) (*fd.Set, *Stats, error) {
+	if s.ix == nil {
+		return fd.NewSet(0), s.stats, nil
+	}
+	if err := s.run(ctx, nil); err != nil {
+		return nil, nil, err
+	}
+	fds := s.ind.Tree().FDs()
+	return fds, s.done(fds.Size()), nil
+}
+
+// run executes the alternating Phase 1 / Phase 2 loop (Fig. 2) over the
+// session's index; the index is only read. A non-nil level hook receives
+// the FDs of every completed validation level — ranked mode's tracker —
+// and a hook that returns false cuts the run, which leaves Stats.Complete
+// false.
+func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) bool) error {
+	cfg, stats, obs, tree := s.cfg, s.stats, s.obs, s.ind.Tree()
+	smp := sampler.New(s.ix, sampler.Config{
+		Threshold:   cfg.EfficiencyThreshold,
+		Threads:     s.threads,
+		Unfocused:   cfg.UnfocusedSampling,
+		Instruments: s.em.Sampler(),
+	})
 	vopts := []validator.Option{
-		validator.WithThreads(threads),
+		validator.WithThreads(s.threads),
 		validator.WithObserver(obs),
-		validator.WithInstruments(em.Validator()),
+		validator.WithInstruments(s.em.Validator()),
+		validator.WithLevelFunc(hook),
 	}
 	if cfg.EfficiencyThreshold > 0 {
 		vopts = append(vopts, validator.WithInvalidThreshold(cfg.EfficiencyThreshold))
@@ -323,10 +351,10 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 	if cfg.IntersectionValidation {
 		vopts = append(vopts, validator.WithIntersectionValidation())
 	}
-	val := validator.New(ix, ind.Tree(), vopts...)
-	grd := guardian.New(ind.Tree(), cfg.MemoryBudgetBytes)
-	if em != nil {
-		grd.SetFootprintGauge(em.FDTreeBytes)
+	val := validator.New(s.ix, tree, vopts...)
+	grd := guardian.New(tree, cfg.MemoryBudgetBytes)
+	if s.em != nil {
+		grd.SetFootprintGauge(s.em.FDTreeBytes)
 	}
 	// checkGuardian runs the Guardian and reports any new intervention.
 	checkGuardian := func() {
@@ -347,10 +375,10 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		roundStart := time.Now()
 		newObs, err := smp.Run(ctx, suggestions)
 		if err != nil {
-			return nil, nil, interrupted(err)
+			return interrupted(err)
 		}
 		stats.SamplingRounds++
-		ind.Update(newObs)
+		s.ind.Update(newObs)
 		checkGuardian()
 		trace.Emit(obs, trace.SamplingRound{
 			Round:           stats.SamplingRounds,
@@ -374,6 +402,9 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		// bound it holds exactly the minimal FDs up to that bound, as
 		// Fdep's does.
 		if smp.AllPairs() {
+			if hook != nil && !replay(tree, val.Level(), hook) {
+				stats.Complete = false
+			}
 			break
 		}
 		trace.Emit(obs, trace.PhaseSwitch{
@@ -387,9 +418,14 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 		exhaustive := len(newObs) == 0
 		res, err := val.Run(ctx, exhaustive)
 		if err != nil {
-			return nil, nil, interrupted(err)
+			return interrupted(err)
 		}
 		checkGuardian()
+		if res.Stopped {
+			// A hook cut leaves the lattice unexplored on purpose.
+			stats.Complete = false
+			break
+		}
 		if res.Done {
 			break
 		}
@@ -407,15 +443,48 @@ func run(ctx context.Context, ix *pli.Index, cfg Config, threads int, stats *Sta
 	stats.Comparisons = smp.Comparisons
 	stats.Validations = val.Validations
 	stats.Observations = smp.ObservationCount()
-	stats.MaxLhs = ind.Tree().MaxLhs()
+	stats.MaxLhs = tree.MaxLhs()
 	if grd.Pruned {
 		stats.Complete = false
 	}
-	fds := ind.Tree().FDs()
-	stats.FDCount = fds.Size()
+	return nil
+}
+
+// replay hands the hook the levels the validator has not reached, straight
+// from the final tree after the pass over all pairs. Every candidate left
+// is then a minimal FD, so validating a level would confirm exactly the
+// FDs replay hands over; the levels below from already hold only valid
+// FDs, which induction never removes. It walks the levels as
+// Validator.Run does, up to the tree's LHS bound and stopping at the
+// first empty level, and passes each level's FDs in node order with RHSs
+// ascending. It reports false when the hook cut the run.
+func replay(tree *fdtree.Tree, from int, hook func(level int, valid []fd.FD) bool) bool {
+	for d := from; d <= tree.MaxLhs(); d++ {
+		level := tree.GetLevel(d)
+		if len(level) == 0 {
+			break
+		}
+		var valid []fd.FD
+		for _, nd := range level {
+			nd.RhsFds().ForEach(func(rhs int) bool {
+				valid = append(valid, fd.FD{Lhs: nd.Lhs.Clone(), Rhs: rhs})
+				return true
+			})
+		}
+		if !hook(d, valid) {
+			return false
+		}
+	}
+	return true
+}
+
+// done records the result size, emits the closing Done event, and returns
+// the run's Stats.
+func (s *session) done(results int) *Stats {
+	s.stats.FDCount = results
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-	trace.Emit(obs, trace.Done{FDs: stats.FDCount, Duration: time.Since(start)})
-	return fds, stats, nil
+	trace.Emit(s.obs, trace.Done{FDs: results, Duration: time.Since(s.start)})
+	return s.stats
 }
 
 // interrupted wraps a context error into the engine's error contract;

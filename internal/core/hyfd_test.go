@@ -354,15 +354,22 @@ func TestDiscoverAllPairsSkipsValidation(t *testing.T) {
 	}
 }
 
+// roundTwoRelation is a 3 × 6 table whose sampling reaches the budget of 3
+// pairs only in round 2, after level 0 has been validated.
+func roundTwoRelation() *relation.Relation {
+	rel := relation.New("round2", []string{"A", "B", "C", "D", "E", "F"})
+	rel.AppendRow([]string{"4", "1", "5", "2", "1", "4"})
+	rel.AppendRow([]string{"5", "1", "4", "2", "3", "5"})
+	rel.AppendRow([]string{"2", "0", "3", "3", "5", "1"})
+	return rel
+}
+
 // TestDiscoverAllPairsInRoundTwo pins a table whose first round stops
 // below the budget of 3 pairs: level 0 fails validation, and the replayed
 // suggestions reach the budget, so round 2 compares all pairs and the run
 // returns the induced cover without validating level 1.
 func TestDiscoverAllPairsInRoundTwo(t *testing.T) {
-	rel := relation.New("round2", []string{"A", "B", "C", "D", "E", "F"})
-	rel.AppendRow([]string{"4", "1", "5", "2", "1", "4"})
-	rel.AppendRow([]string{"5", "1", "4", "2", "3", "5"})
-	rel.AppendRow([]string{"2", "0", "3", "3", "5", "1"})
+	rel := roundTwoRelation()
 	for _, threads := range []int{1, 2} {
 		var rounds []trace.SamplingRound
 		var last trace.Event

@@ -19,7 +19,7 @@ type Artifact struct {
 	Experiment string `json:"experiment"`
 	Title      string `json:"title"`
 	// CreatedUnix is the artifact's creation time (Unix seconds, UTC).
-	CreatedUnix int64    `json:"created_unix"`
+	CreatedUnix int64  `json:"created_unix"`
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
 	GOARCH      string `json:"goarch"`

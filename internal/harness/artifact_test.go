@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -9,7 +10,7 @@ import (
 
 func TestArtifactRoundTrip(t *testing.T) {
 	spec := Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 100, Metrics: true}
-	res := ExecuteInProcess(spec)
+	res := ExecuteInProcess(context.Background(), spec)
 	if res.Err != "" {
 		t.Fatalf("measurement failed: %s", res.Err)
 	}
@@ -79,7 +80,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 func TestUnmeteredRunOmitsMetrics(t *testing.T) {
-	res := ExecuteInProcess(Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 100})
+	res := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 100})
 	if res.Err != "" {
 		t.Fatalf("measurement failed: %s", res.Err)
 	}

@@ -165,33 +165,20 @@ func Materialize(spec Spec) (*relation.Relation, error) {
 
 // ExecuteInProcess materializes the spec's dataset and measures the run in
 // the current process. Dataset generation time is excluded; peak heap is
-// sampled concurrently.
-func ExecuteInProcess(spec Spec) Result {
-	//hyfdvet:allow ctxflow — no-context compat shim; the context variant is the primary API
-	return ExecuteInProcessContext(context.Background(), spec)
-}
-
-// ExecuteInProcessContext is ExecuteInProcess under a caller context: a
-// deadline or cancellation aborts the measured run and is reported as a
-// timeout in the result.
-func ExecuteInProcessContext(ctx context.Context, spec Spec) Result {
+// sampled concurrently. A deadline or cancellation of ctx aborts the
+// measured run and is reported as a timeout in the result.
+func ExecuteInProcess(ctx context.Context, spec Spec) Result {
 	rel, err := Materialize(spec)
 	if err != nil {
 		return Result{Spec: spec, Switches: -1, Err: err.Error()}
 	}
-	return MeasureContext(ctx, spec, rel)
+	return Measure(ctx, spec, rel)
 }
 
 // Measure runs the spec's algorithm against an already-materialized
-// relation.
-func Measure(spec Spec, rel *relation.Relation) Result {
-	//hyfdvet:allow ctxflow — no-context compat shim; the context variant is the primary API
-	return MeasureContext(context.Background(), spec, rel)
-}
-
-// MeasureContext is Measure under a caller context. A run aborted by the
-// context reports TimedOut with the elapsed time instead of an FD count.
-func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Result {
+// relation. A run aborted by the context reports TimedOut with the elapsed
+// time instead of an FD count.
+func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 	res := Result{Spec: spec, Switches: -1}
 
 	runtime.GC()
@@ -377,15 +364,17 @@ func MeasureContext(ctx context.Context, spec Spec, rel *relation.Relation) Resu
 		if !ok {
 			res.Err = fmt.Sprintf("unknown algorithm %q", spec.Algorithm)
 		} else {
-			cfg := algorithms.Config{MaxLhsSize: spec.MaxLhs}
 			var (
 				set *fd.Set
 				err error
 			)
-			if spec.Warm {
-				set, err = alg.Discover(ctx, ds, cfg)
-			} else {
-				set, err = algorithms.DiscoverRelation(ctx, alg, rel, cfg)
+			if !spec.Warm {
+				// A cold baseline prepares single-threaded, as the
+				// baselines' own sequential builds did.
+				ds, err = dataset.Prepare(ctx, rel, dataset.Options{Threads: 1})
+			}
+			if err == nil {
+				set, err = alg.Discover(ctx, ds, algorithms.Config{MaxLhsSize: spec.MaxLhs})
 			}
 			res.Seconds = time.Since(start).Seconds()
 			if err != nil {

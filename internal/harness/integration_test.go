@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func TestAllAlgorithmsAgreeOnCatalogAnalogs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reference := Measure(Spec{Algorithm: HyFDName, Dataset: c.Dataset}, rel)
+			reference := Measure(context.Background(), Spec{Algorithm: HyFDName, Dataset: c.Dataset}, rel)
 			if reference.Err != "" {
 				t.Fatalf("HyFD: %s", reference.Err)
 			}
@@ -35,7 +36,7 @@ func TestAllAlgorithmsAgreeOnCatalogAnalogs(t *testing.T) {
 				if alg == HyFDName {
 					continue
 				}
-				r := Measure(Spec{Algorithm: alg, Dataset: c.Dataset}, rel)
+				r := Measure(context.Background(), Spec{Algorithm: alg, Dataset: c.Dataset}, rel)
 				if r.Err != "" {
 					t.Fatalf("%s: %s", alg, r.Err)
 				}
@@ -58,7 +59,7 @@ func TestHyFDVariantsAgreeOnAnalogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Measure(Spec{Algorithm: HyFDName, Dataset: "ncvoter"}, rel)
+	base := Measure(context.Background(), Spec{Algorithm: HyFDName, Dataset: "ncvoter"}, rel)
 	if base.Err != "" {
 		t.Fatal(base.Err)
 	}
@@ -67,7 +68,7 @@ func TestHyFDVariantsAgreeOnAnalogs(t *testing.T) {
 		{Algorithm: HyFDName, Dataset: "ncvoter", Threshold: 0.3},
 		{Algorithm: HyFDName, Dataset: "ncvoter", Threshold: 0.0005},
 	} {
-		r := Measure(spec, rel)
+		r := Measure(context.Background(), spec, rel)
 		if r.Err != "" || r.FDs != base.FDs {
 			t.Fatalf("variant %+v: fds=%d err=%q, want %d", spec, r.FDs, r.Err, base.FDs)
 		}

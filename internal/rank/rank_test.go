@@ -30,12 +30,12 @@ func TestScore(t *testing.T) {
 		lhs  bitset.Set
 		want float64
 	}{
-		{lhs(4), 1},                // empty determinant: d=1, card clamps to 1
-		{lhs(4, 2), 1},             // constant column: 1/(1*1)
-		{lhs(4, 0), 1.0 / 2},       // 1/(1*2)
-		{lhs(4, 1), 1.0 / 4},       // 1/(1*4)
-		{lhs(4, 0, 1), 1.0 / 8},    // 1/(2*max(2,4))
-		{lhs(4, 0, 3), 1.0 / 16},   // 1/(2*8)
+		{lhs(4), 1},                 // empty determinant: d=1, card clamps to 1
+		{lhs(4, 2), 1},              // constant column: 1/(1*1)
+		{lhs(4, 0), 1.0 / 2},        // 1/(1*2)
+		{lhs(4, 1), 1.0 / 4},        // 1/(1*4)
+		{lhs(4, 0, 1), 1.0 / 8},     // 1/(2*max(2,4))
+		{lhs(4, 0, 3), 1.0 / 16},    // 1/(2*8)
 		{lhs(4, 0, 1, 3), 1.0 / 24}, // 1/(3*8)
 	}
 	for _, c := range cases {
@@ -96,9 +96,9 @@ func rankFixture() []FD {
 	const n = 4
 	return []FD{
 		{FD: fd.FD{Lhs: lhs(n, 1), Rhs: 0}, Score: 0.5},
-		{FD: fd.FD{Lhs: lhs(n, 0), Rhs: 1}, Score: 0.5},    // ties on score, loses on Rhs
+		{FD: fd.FD{Lhs: lhs(n, 0), Rhs: 1}, Score: 0.5}, // ties on score, loses on Rhs
 		{FD: fd.FD{Lhs: lhs(n, 0, 2), Rhs: 3}, Score: 0.25},
-		{FD: fd.FD{Lhs: lhs(n, 3), Rhs: 2}, Score: 0.25},   // ties, wins on Rhs
+		{FD: fd.FD{Lhs: lhs(n, 3), Rhs: 2}, Score: 0.25},    // ties, wins on Rhs
 		{FD: fd.FD{Lhs: lhs(n, 1, 2), Rhs: 3}, Score: 0.25}, // ties fully, loses on LHS key vs {0,2}
 	}
 }

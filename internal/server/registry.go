@@ -51,7 +51,7 @@ type GenerateSpec struct {
 
 // DatasetInfo is the public record of one registered dataset.
 type DatasetInfo struct {
-	Name          string `json:"name"`
+	Name string `json:"name"`
 	// Version is the snapshot version jobs over this registration are pinned
 	// to; every accepted delta advances it by one.
 	Version       int    `json:"version"`

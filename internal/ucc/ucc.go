@@ -21,36 +21,16 @@ import (
 	"hyfd/internal/bitset"
 	"hyfd/internal/dataset"
 	"hyfd/internal/pli"
-	"hyfd/internal/relation"
 )
 
-// Discover returns all minimal unique column combinations of the relation,
-// in canonical order (ascending cardinality, then lexicographic). maxSize
-// bounds the combination size (0 = unbounded).
-func Discover(rel *relation.Relation, ns relation.NullSemantics, maxSize int) ([]bitset.Set, error) {
-	//hyfdvet:allow ctxflow — no-context compat shim; DiscoverDataset is the prepared-path variant
-	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{
-		NullSemantics: ns,
-		Threads:       1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return DiscoverDataset(ds, maxSize)
-}
-
-// DiscoverDataset is Discover over an already-prepared Dataset (whose null
-// semantics apply): the shared PLIs are only read, so concurrent calls over
-// one Dataset are race-clean.
-func DiscoverDataset(ds *dataset.Dataset, maxSize int) ([]bitset.Set, error) {
-	//hyfdvet:allow ctxflow — no-context compat shim; DiscoverDatasetContext is the primary path
-	return DiscoverDatasetContext(context.Background(), ds, maxSize)
-}
-
-// DiscoverDatasetContext is DiscoverDataset under a caller context.
-// Cancellation is checked once per lattice level; a canceled context returns
-// an error wrapping ctx.Err() promptly instead of finishing the sweep.
-func DiscoverDatasetContext(ctx context.Context, ds *dataset.Dataset, maxSize int) ([]bitset.Set, error) {
+// Discover returns all minimal unique column combinations of the prepared
+// dataset, in canonical order (ascending cardinality, then lexicographic);
+// the dataset's null semantics apply. maxSize bounds the combination size
+// (0 = unbounded). The shared PLIs are only read, so concurrent calls over
+// one Dataset are race-clean. Cancellation is checked once per lattice
+// level; a canceled context returns an error wrapping ctx.Err() promptly
+// instead of finishing the sweep.
+func Discover(ctx context.Context, ds *dataset.Dataset, maxSize int) ([]bitset.Set, error) {
 	m := ds.NumCols()
 	if m == 0 {
 		if ds.NumRows() <= 1 {
@@ -108,28 +88,15 @@ func DiscoverDatasetContext(ctx context.Context, ds *dataset.Dataset, maxSize in
 	return found, nil
 }
 
-// DiscoverHybrid finds the same minimal UCCs with a sampling-first
-// strategy in the spirit of HyFD/HyUCC: sampled agree sets yield candidate
-// uniques as minimal hitting sets of their complements (a UCC must
-// separate every sampled record pair); candidates are validated against
-// the PLIs, and violating pairs sharpen the sample until a fixpoint.
-func DiscoverHybrid(rel *relation.Relation, ns relation.NullSemantics) ([]bitset.Set, error) {
-	//hyfdvet:allow ctxflow — no-context compat shim; DiscoverHybridDataset is the prepared-path variant
-	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{
-		NullSemantics: ns,
-		Threads:       1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return DiscoverHybridDataset(ds)
-}
-
-// DiscoverHybridDataset is DiscoverHybrid over an already-prepared Dataset
-// (whose null semantics apply). Per-run state — the agree-set sample and
-// the partition cache — is created fresh here, so concurrent calls over one
-// Dataset are race-clean.
-func DiscoverHybridDataset(ds *dataset.Dataset) ([]bitset.Set, error) {
+// DiscoverHybrid finds the same minimal UCCs as Discover with a
+// sampling-first strategy in the spirit of HyFD/HyUCC: sampled agree sets
+// yield candidate uniques as minimal hitting sets of their complements (a
+// UCC must separate every sampled record pair); candidates are validated
+// against the PLIs, and violating pairs sharpen the sample until a
+// fixpoint. Per-run state — the agree-set sample and the partition cache —
+// is created fresh here, so concurrent calls over one Dataset are
+// race-clean.
+func DiscoverHybrid(ds *dataset.Dataset) ([]bitset.Set, error) {
 	m := ds.NumCols()
 	if m == 0 {
 		if ds.NumRows() <= 1 {

@@ -1,14 +1,36 @@
 package ucc
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/dataset"
 	"hyfd/internal/relation"
 )
+
+// discoverRel prepares rel single-threaded under ns and runs Discover over
+// it.
+func discoverRel(rel *relation.Relation, ns relation.NullSemantics, maxSize int) ([]bitset.Set, error) {
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{NullSemantics: ns, Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return Discover(context.Background(), ds, maxSize)
+}
+
+// hybridRel prepares rel single-threaded under ns and runs DiscoverHybrid
+// over it.
+func hybridRel(rel *relation.Relation, ns relation.NullSemantics) ([]bitset.Set, error) {
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{NullSemantics: ns, Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	return DiscoverHybrid(ds)
+}
 
 func randomRelation(r *rand.Rand, rows, cols, domain int) *relation.Relation {
 	names := make([]string, cols)
@@ -90,7 +112,7 @@ func TestDiscoverSimple(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rel.AppendRow([]string{strconv.Itoa(i), strconv.Itoa(i % 3), strconv.Itoa(i % 4)})
 	}
-	got, err := Discover(rel, relation.NullEqualsNull, 0)
+	got, err := discoverRel(rel, relation.NullEqualsNull, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +127,7 @@ func TestDiscoverEdgeCases(t *testing.T) {
 	// Single row: the empty set is unique.
 	one := relation.New("one", []string{"A", "B"})
 	one.AppendRow([]string{"x", "y"})
-	got, err := Discover(one, relation.NullEqualsNull, 0)
+	got, err := discoverRel(one, relation.NullEqualsNull, 0)
 	if err != nil || len(got) != 1 || !got[0].IsEmpty() {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -113,14 +135,14 @@ func TestDiscoverEdgeCases(t *testing.T) {
 	dup := relation.New("dup", []string{"A", "B"})
 	dup.AppendRow([]string{"x", "y"})
 	dup.AppendRow([]string{"x", "y"})
-	got, err = Discover(dup, relation.NullEqualsNull, 0)
+	got, err = discoverRel(dup, relation.NullEqualsNull, 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
 	// Max size bound.
 	r := rand.New(rand.NewSource(4))
 	rel := randomRelation(r, 30, 5, 2)
-	bounded, err := Discover(rel, relation.NullEqualsNull, 2)
+	bounded, err := discoverRel(rel, relation.NullEqualsNull, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +158,11 @@ func TestDiscoverNullSemantics(t *testing.T) {
 	rel.AppendRow([]string{relation.Null})
 	rel.AppendRow([]string{relation.Null})
 	// Under ⊥=⊥ the two rows collide; under ⊥≠⊥ each null is distinct.
-	eq, _ := Discover(rel, relation.NullEqualsNull, 0)
+	eq, _ := discoverRel(rel, relation.NullEqualsNull, 0)
 	if len(eq) != 0 {
 		t.Fatalf("null=null UCCs = %v", eq)
 	}
-	ne, _ := Discover(rel, relation.NullNotEqualsNull, 0)
+	ne, _ := discoverRel(rel, relation.NullNotEqualsNull, 0)
 	if len(ne) != 1 || !ne[0].Equal(bitset.FromIndices(1, 0)) {
 		t.Fatalf("null!=null UCCs = %v", ne)
 	}
@@ -150,7 +172,7 @@ func TestQuickDiscoverMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rel := randomRelation(r, 1+r.Intn(40), 2+r.Intn(4), 1+r.Intn(5))
-		got, err := Discover(rel, relation.NullEqualsNull, 0)
+		got, err := discoverRel(rel, relation.NullEqualsNull, 0)
 		if err != nil {
 			return false
 		}
@@ -174,11 +196,11 @@ func TestQuickHybridMatchesBottomUp(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rel := randomRelation(r, 1+r.Intn(40), 2+r.Intn(4), 1+r.Intn(5))
-		bottomUp, err := Discover(rel, relation.NullEqualsNull, 0)
+		bottomUp, err := discoverRel(rel, relation.NullEqualsNull, 0)
 		if err != nil {
 			return false
 		}
-		hybrid, err := DiscoverHybrid(rel, relation.NullEqualsNull)
+		hybrid, err := hybridRel(rel, relation.NullEqualsNull)
 		if err != nil {
 			return false
 		}
@@ -204,7 +226,7 @@ func TestHybridOnKeyedRelation(t *testing.T) {
 			strconv.Itoa(i), strconv.Itoa(i % 5), strconv.Itoa(i % 7), strconv.Itoa(i % 2),
 		})
 	}
-	got, err := DiscoverHybrid(rel, relation.NullEqualsNull)
+	got, err := hybridRel(rel, relation.NullEqualsNull)
 	if err != nil {
 		t.Fatal(err)
 	}

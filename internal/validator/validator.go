@@ -132,6 +132,10 @@ func New(ix *pli.Index, tree *fdtree.Tree, opts ...Option) *Validator {
 	return v
 }
 
+// Level returns the next level Run validates; every shallower level is
+// done.
+func (v *Validator) Level() int { return v.levelNumber }
+
 // invalidFd pairs an invalid candidate with its RHS.
 type invalidFd struct {
 	lhs bitset.Set

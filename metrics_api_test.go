@@ -1,6 +1,7 @@
 package hyfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := hyfd.NewMetricsRegistry()
-	res, err := hyfd.Discover(rel, hyfd.Options{Metrics: reg})
+	res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Options: hyfd.Options{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 	}
 }
 
-// TestBaselineStatsHaveTotalTime pins the DiscoverWith timing fix: baseline
+// TestBaselineStatsHaveTotalTime pins the baseline timing fix: baseline
 // runs must report wall-clock TotalTime even though they produce no trace
 // events.
 func TestBaselineStatsHaveTotalTime(t *testing.T) {
@@ -44,7 +45,7 @@ func TestBaselineStatsHaveTotalTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range hyfd.Algorithms() {
-		res, err := hyfd.DiscoverWith(name, rel, hyfd.Options{})
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRegistryRoundTrip drives every name reported by Algorithms() through
-// DiscoverWithContext on a small relation: each registered algorithm must
+// Run on a small relation: each registered algorithm must
 // dispatch, complete, and agree with HyFD's FD set, and an unregistered
 // name must fail with ErrUnknownAlgorithm.
 func TestRegistryRoundTrip(t *testing.T) {
@@ -18,13 +18,13 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hyfd.DiscoverContext(context.Background(), rel, hyfd.Options{})
+	want, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range hyfd.Algorithms() {
 		t.Run(name, func(t *testing.T) {
-			got, err := hyfd.DiscoverWithContext(context.Background(), name, rel, hyfd.Options{})
+			got, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,13 +38,14 @@ func TestRegistryRoundTrip(t *testing.T) {
 		})
 	}
 	t.Run("unknown", func(t *testing.T) {
-		_, err := hyfd.DiscoverWithContext(context.Background(), "NoSuchAlgorithm", rel, hyfd.Options{})
+		_, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgorithm"})
 		if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
 			t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
 		}
-		_, err = hyfd.DiscoverWith("NoSuchAlgorithm", rel, hyfd.Options{})
+		// A nil context is treated as context.Background().
+		_, err = hyfd.Run(nil, hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgorithm"})
 		if !errors.Is(err, hyfd.ErrUnknownAlgorithm) {
-			t.Fatalf("no-context err = %v, want ErrUnknownAlgorithm", err)
+			t.Fatalf("nil-context err = %v, want ErrUnknownAlgorithm", err)
 		}
 	})
 }

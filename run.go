@@ -10,7 +10,6 @@ import (
 	"hyfd/internal/afd"
 	"hyfd/internal/algorithms"
 	"hyfd/internal/core"
-	"hyfd/internal/fd"
 	"hyfd/internal/incremental"
 	"hyfd/internal/metrics"
 	"hyfd/internal/trace"
@@ -100,19 +99,27 @@ type Request struct {
 	// Options carries the per-run tuning shared by all modes: MaxLhsSize
 	// bounds LHS/UCC sizes everywhere; Threads, EfficiencyThreshold,
 	// MemoryBudgetBytes, Observer, and Metrics apply to the HyFD engine.
+	// A cold run of a baseline, ModeAFD, or ModeUCC prepares its Relation
+	// with Threads, Observer, and Metrics, as Prepare does; the discovery
+	// after that ignores them.
 	Options Options
 }
 
-// Run executes one discovery request under the given context — the single
-// entry point that subsumes the Discover* family. The context is honored in
-// every mode: cancellation or a deadline aborts the run promptly with an
-// error wrapping ctx.Err().
+// Run executes one discovery request under the given context; it is the
+// package's only discovery entry point. The context is honored in every
+// mode: cancellation or a deadline aborts the run promptly with an error
+// wrapping ctx.Err(). A nil ctx is treated as context.Background().
 //
-// The result carries FDs/Set (ModeFD), AFDs (ModeAFD), or UCCs (ModeUCC),
-// plus Stats in every mode. Results are bit-for-bit deterministic for every
-// thread count, and a warm run (Request.Dataset) returns results identical
-// to a cold run (Request.Relation) on the same data.
+// The result carries FDs/Set (ModeFD), AFDs (ModeAFD), UCCs (ModeUCC),
+// Ranked (ModeRanked), or Set and Dataset (ModeIncremental), plus Stats in
+// every mode. Results are bit-for-bit deterministic for every thread count,
+// and a warm run (Request.Dataset) returns results identical to a cold run
+// (Request.Relation) on the same data.
 func Run(ctx context.Context, req Request) (*Result, error) {
+	if ctx == nil {
+		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the package's only entry point
+		ctx = context.Background()
+	}
 	mode, err := ParseMode(string(req.Mode))
 	if err != nil {
 		return nil, err
@@ -248,25 +255,17 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("hyfd: %w %q (available: %v)", ErrUnknownAlgorithm, algorithm, Algorithms())
 	}
 	start := time.Now()
-	var (
-		set *fd.Set
-		err error
-	)
-	if req.Dataset != nil {
-		set, err = alg.Discover(ctx, req.Dataset, algorithms.Config{MaxLhsSize: opts.MaxLhsSize})
-		if err != nil {
-			return nil, err
-		}
-		return baselineResult(set, req.Dataset.NumRows(), req.Dataset.NumCols(), opts.MaxLhsSize, true, time.Since(start)), nil
-	}
-	set, err = algorithms.DiscoverRelation(ctx, alg, req.Relation, algorithms.Config{
-		NullSemantics: opts.NullSemantics,
-		MaxLhsSize:    opts.MaxLhsSize,
-	})
+	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return baselineResult(set, req.Relation.NumRows(), req.Relation.NumCols(), opts.MaxLhsSize, false, time.Since(start)), nil
+	set, err := alg.Discover(ctx, ds, algorithms.Config{MaxLhsSize: opts.MaxLhsSize})
+	if err != nil {
+		return nil, err
+	}
+	stats := auxiliaryStats(ds, opts.MaxLhsSize, warm, start)
+	stats.FDCount = set.Size()
+	return &Result{FDs: set.All(), Set: set, Stats: stats}, nil
 }
 
 // runRanked dispatches ranked top-k FD discovery. Only the HyFD engine
@@ -317,12 +316,12 @@ func runAFD(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
 			ErrUnknownAlgorithm, req.Algorithm, ModeAFD)
 	}
+	start := time.Now()
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	afds, err := afd.DiscoverDatasetContext(ctx, ds, afd.Options{
+	afds, err := afd.Discover(ctx, ds, afd.Options{
 		MaxError: req.MaxError,
 		MaxLhs:   req.Options.MaxLhsSize,
 	})
@@ -331,7 +330,7 @@ func runAFD(ctx context.Context, req Request) (*Result, error) {
 	}
 	return &Result{
 		AFDs:  afds,
-		Stats: auxiliaryStats(ds, req.Options.MaxLhsSize, warm, time.Since(start)),
+		Stats: auxiliaryStats(ds, req.Options.MaxLhsSize, warm, start),
 	}, nil
 }
 
@@ -341,18 +340,18 @@ func runUCC(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
 			ErrUnknownAlgorithm, req.Algorithm, ModeUCC)
 	}
+	start := time.Now()
 	ds, warm, err := requestDataset(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	uccs, err := ucc.DiscoverDatasetContext(ctx, ds, req.Options.MaxLhsSize)
+	uccs, err := ucc.Discover(ctx, ds, req.Options.MaxLhsSize)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		UCCs:  uccs,
-		Stats: auxiliaryStats(ds, req.Options.MaxLhsSize, warm, time.Since(start)),
+		Stats: auxiliaryStats(ds, req.Options.MaxLhsSize, warm, start),
 	}, nil
 }
 
@@ -375,16 +374,18 @@ func requestDataset(ctx context.Context, req Request) (*Dataset, bool, error) {
 	return ds, false, nil
 }
 
-// auxiliaryStats assembles the Stats of an afd/ucc run: the dimensional and
-// outcome fields, without the HyFD engine's per-phase telemetry.
-func auxiliaryStats(ds *Dataset, maxLhsSize int, warm bool, total time.Duration) *Stats {
+// auxiliaryStats assembles the Stats of a baseline, afd, or ucc run that
+// started at start: the dimensional and outcome fields, without the HyFD
+// engine's per-phase telemetry. A cold run's TotalTime includes its
+// PreprocessingTime.
+func auxiliaryStats(ds *Dataset, maxLhsSize int, warm bool, start time.Time) *Stats {
 	stats := &Stats{
 		Rows:      ds.NumRows(),
 		Cols:      ds.NumCols(),
 		MaxLhs:    ds.NumCols(),
 		Complete:  true,
 		Warm:      warm,
-		TotalTime: total,
+		TotalTime: time.Since(start),
 	}
 	if !warm {
 		stats.PreprocessingTime = ds.PreprocessingTime()
@@ -394,24 +395,4 @@ func auxiliaryStats(ds *Dataset, maxLhsSize int, warm bool, total time.Duration)
 		stats.Complete = false
 	}
 	return stats
-}
-
-// baselineResult assembles the Stats/Result pair of a baseline run; the
-// baselines don't report the engine's per-phase telemetry, so only the
-// dimensional and outcome fields are populated.
-func baselineResult(set *FDSet, rows, cols, maxLhsSize int, warm bool, total time.Duration) *Result {
-	stats := &Stats{
-		Rows:      rows,
-		Cols:      cols,
-		FDCount:   set.Size(),
-		MaxLhs:    cols,
-		Complete:  true,
-		Warm:      warm,
-		TotalTime: total,
-	}
-	if maxLhsSize > 0 {
-		stats.MaxLhs = maxLhsSize
-		stats.Complete = false
-	}
-	return &Result{FDs: set.All(), Set: set, Stats: stats}
 }
