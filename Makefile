@@ -4,7 +4,7 @@ GO ?= go
 # seconds; override BENCH_JSON_FLAGS for a full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -90,6 +90,14 @@ fuzz-smoke-incremental:
 # semantics and two thread counts.
 fuzz-smoke-validator:
 	$(GO) test -fuzz=FuzzValidatorDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
+
+# fuzz-smoke-inductor runs the induction differential fuzzer: Update, which
+# walks the FDTree once per agree set, must leave the same FDs and node
+# count as a per-RHS reference, over fuzzed universes (up to 72 attributes),
+# agree-set batches and LHS bounds, and match the brute-force cover on small
+# unbounded universes.
+fuzz-smoke-inductor:
+	$(GO) test -fuzz=FuzzInductorDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/inductor
 
 # serve-smoke is the end-to-end daemon exercise: build hyfdd, start it,
 # register a CSV, run one job per mode (fd/afd/ucc/ranked), POST a delta

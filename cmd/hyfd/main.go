@@ -285,9 +285,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "comparisons: %d (all pairs: %t), validations: %d, observations: %d\n",
 				s.Comparisons, s.AllPairs, s.Validations, s.Observations)
 			if s.TotalTime > 0 {
-				fmt.Fprintf(os.Stderr, "time: %s total (preprocessing %s, sampling %s, validation %s)\n",
+				fmt.Fprintf(os.Stderr, "time: %s total (preprocessing %s, sampling %s incl. induction %s, validation %s)\n",
 					s.TotalTime.Round(time.Millisecond), s.PreprocessingTime.Round(time.Millisecond),
-					s.SamplingTime.Round(time.Millisecond), s.ValidationTime.Round(time.Millisecond))
+					s.SamplingTime.Round(time.Millisecond), s.InductionTime.Round(time.Millisecond),
+					s.ValidationTime.Round(time.Millisecond))
 			}
 			if s.Warm {
 				fmt.Fprintf(os.Stderr, "prepare: %s (dataset prepared once, reused by the run)\n",
@@ -425,9 +426,9 @@ func progressObserver(w *os.File, em *metrics.EngineMetrics, start time.Time) hy
 					ev.Rows, ev.Cols, ev.Duration.Round(time.Millisecond))
 			}
 		case hyfd.SamplingRound:
-			fmt.Fprintf(w, "sampling round %d: %d new observations, %d comparisons (threshold %.4g) in %s%s\n",
+			fmt.Fprintf(w, "sampling round %d: %d new observations, %d comparisons (threshold %.4g) in %s, induction %s%s\n",
 				ev.Round, ev.NewObservations, ev.Comparisons, ev.Threshold,
-				ev.Duration.Round(time.Millisecond), rate(comparisons, "cmp/s"))
+				ev.Duration.Round(time.Millisecond), ev.Induction.Round(time.Millisecond), rate(comparisons, "cmp/s"))
 		case hyfd.PhaseSwitch:
 			fmt.Fprintf(w, "phase switch #%d: %s -> %s\n", ev.Switches, ev.From, ev.To)
 		case hyfd.ValidationLevel:

@@ -106,7 +106,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		for _, want := range []string{"ingested", "preprocessed", "sampling round", "done:", "time:", "cmp/s"} {
+		for _, want := range []string{"ingested", "preprocessed", "sampling round", "done:", "time:", "incl. induction", ", induction ", "cmp/s"} {
 			if !strings.Contains(string(out), want) {
 				t.Fatalf("missing %q in progress output:\n%s", want, out)
 			}

@@ -147,7 +147,7 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 		if ci != cj {
 			return ci < cj
 		}
-		return out[i].Lhs.Key() < out[j].Lhs.Key()
+		return bitset.CompareKeys(out[i].Lhs, out[j].Lhs) < 0
 	})
 	return out, nil
 }

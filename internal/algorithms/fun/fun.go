@@ -144,7 +144,7 @@ func nextLevel(freeLevel []bitset.Set, free map[string]bool, m int) []bitset.Set
 			}
 		}
 	}
-	sort.Slice(next, func(i, j int) bool { return next[i].Key() < next[j].Key() })
+	sort.Slice(next, func(i, j int) bool { return bitset.CompareKeys(next[i], next[j]) < 0 })
 	return next
 }
 

@@ -7,10 +7,10 @@ import (
 
 // BitsetAliasAnalyzer enforces the bitset mutation discipline: bitset.Set is
 // a value type over a shared []uint64 backing array, so mutating methods
-// (Set, Clear, ClearAll, CopyFrom, UnionWith) called on a temporary either
-// silently discard the write (fresh result of Clone/With/New) or silently
-// mutate state shared with someone else (a set fetched out of a map or
-// returned by an accessor).
+// (Set, Clear, ClearAll, CopyFrom, UnionWith, AndNotWith) called on a
+// temporary either silently discard the write (fresh result of
+// Clone/With/New) or silently mutate state shared with someone else (a set
+// fetched out of a map or returned by an accessor).
 // Both are aliasing hazards: mutations must go through a named variable
 // whose ownership is locally evident.
 //
@@ -31,11 +31,12 @@ var BitsetAliasAnalyzer = &Analyzer{
 // bitsetMutators are the methods of bitset.Set that write the backing array
 // in place.
 var bitsetMutators = map[string]bool{
-	"Set":       true,
-	"Clear":     true,
-	"ClearAll":  true,
-	"CopyFrom":  true,
-	"UnionWith": true,
+	"Set":        true,
+	"Clear":      true,
+	"ClearAll":   true,
+	"CopyFrom":   true,
+	"UnionWith":  true,
+	"AndNotWith": true,
 }
 
 // sharedArtifactNames lists, per owning module-relative package, the named

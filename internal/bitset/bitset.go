@@ -10,6 +10,7 @@
 package bitset
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -78,6 +79,16 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// CloneInto copies s into the front of words and returns a set over that
+// storage, capped at s's word count so it never reaches into the rest of
+// words. Carving many sets out of one array costs one allocation for all
+// of them.
+func (s Set) CloneInto(words []uint64) Set {
+	w := words[:len(s.words):len(s.words)]
+	copy(w, s.words)
+	return Set{words: w, n: s.n}
+}
+
 // ClearAll removes every member of s in place.
 func (s Set) ClearAll() {
 	clear(s.words)
@@ -98,6 +109,16 @@ func (s Set) UnionWith(t Set) {
 	}
 	for i, w := range t.words {
 		s.words[i] |= w
+	}
+}
+
+// AndNotWith removes every member of t from s in place (s \= t).
+func (s Set) AndNotWith(t Set) {
+	if len(s.words) != len(t.words) {
+		panic("bitset: universe mismatch")
+	}
+	for i, w := range t.words {
+		s.words[i] &^= w
 	}
 }
 
@@ -292,6 +313,12 @@ func (s Set) keyBytes() []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s.words[0])), len(s.words)*8)
+}
+
+// CompareKeys orders sets by their Key() strings without building them: its
+// sign is the sign of strings.Compare(a.Key(), b.Key()).
+func CompareKeys(a, b Set) int {
+	return bytes.Compare(a.keyBytes(), b.keyBytes())
 }
 
 // CompareCardinalityDesc is a comparison function ordering sets by

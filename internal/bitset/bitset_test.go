@@ -1,7 +1,9 @@
 package bitset
 
 import (
+	"cmp"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -189,9 +191,15 @@ func TestInPlaceOps(t *testing.T) {
 	if !alias.IsEmpty() || alias.Universe() != 70 {
 		t.Fatalf("ClearAll = %v over %d", alias, alias.Universe())
 	}
+	a.CopyFrom(FromIndices(70, 1, 2, 3, 65, 66))
+	a.AndNotWith(b)
+	if !alias.Equal(FromIndices(70, 1, 65)) {
+		t.Fatalf("AndNotWith = %v", alias)
+	}
 	for _, fn := range []func(){
 		func() { a.CopyFrom(New(200)) },
 		func() { a.UnionWith(New(200)) },
+		func() { a.AndNotWith(New(200)) },
 	} {
 		func() {
 			defer func() {
@@ -233,6 +241,46 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		_ = seen[string(buf)]
 	}); n != 0 {
 		t.Fatalf("AppendKey + map lookup allocated %v times, want 0", n)
+	}
+}
+
+func TestCloneInto(t *testing.T) {
+	s := FromIndices(130, 0, 64, 129)
+	words := make([]uint64, 7)
+	c := s.CloneInto(words[2:])
+	if !c.Equal(s) || c.Universe() != 130 {
+		t.Fatalf("CloneInto = %v over %d", c, c.Universe())
+	}
+	c.Set(5)
+	if s.Test(5) || words[2] != 1|1<<5 {
+		t.Fatal("CloneInto did not copy into the given words")
+	}
+	if cap(c.words) != 3 || words[5] != 0 || words[1] != 0 {
+		t.Fatal("CloneInto reached outside its own words")
+	}
+}
+
+// TestCompareKeysMatchesKeyOrder: CompareKeys has the sign of
+// strings.Compare on the two Key() strings, for universes of 1 to 130
+// attributes.
+func TestCompareKeysMatchesKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	sign := func(c int) int { return cmp.Compare(c, 0) }
+	for n := 1; n <= 130; n++ {
+		for trial := 0; trial < 40; trial++ {
+			a, b := randomSet(r, n), randomSet(r, n)
+			if trial%4 == 0 {
+				b = a.Clone()
+				if i := r.Intn(n); trial%8 == 0 {
+					b.Clear(i)
+				} else {
+					b.Set(i)
+				}
+			}
+			if got, want := sign(CompareKeys(a, b)), sign(strings.Compare(a.Key(), b.Key())); got != want {
+				t.Fatalf("n=%d: CompareKeys(%v, %v) = %d, want sign %d", n, a, b, got, want)
+			}
+		}
 	}
 }
 

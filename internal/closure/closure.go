@@ -106,7 +106,7 @@ func CandidateKeys(fds *fd.Set, numAttrs int) []bitset.Set {
 		if ci != cj {
 			return ci < cj
 		}
-		return keys[i].Key() < keys[j].Key()
+		return bitset.CompareKeys(keys[i], keys[j]) < 0
 	})
 	return keys
 }

@@ -70,7 +70,7 @@ func BCNF(fds *fd.Set, numAttrs int) []Subschema {
 		right := attrs.Without(f.Rhs)
 		work = append(work, left, right)
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i].Attrs.Key() < done[j].Attrs.Key() })
+	sort.Slice(done, func(i, j int) bool { return bitset.CompareKeys(done[i].Attrs, done[j].Attrs) < 0 })
 	return done
 }
 
@@ -146,7 +146,7 @@ func ThirdNF(fds *fd.Set, numAttrs int) []Subschema {
 	if !hasKey && len(keys) > 0 {
 		kept = append(kept, Subschema{Attrs: keys[0].Clone(), Key: keys[0].Clone()})
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Attrs.Key() < kept[j].Attrs.Key() })
+	sort.Slice(kept, func(i, j int) bool { return bitset.CompareKeys(kept[i].Attrs, kept[j].Attrs) < 0 })
 	return kept
 }
 
@@ -169,22 +169,14 @@ func Violations(rel *relation.Relation, ns relation.NullSemantics, f fd.FD, limi
 	groups := make(map[string][]entry)
 	var out []Violation
 	attrs := f.Lhs.Indices()
+	var key []byte
 	for i, row := range rel.Rows {
-		key := ""
-		skip := false
-		for _, a := range attrs {
-			v := row[a]
-			if v == relation.Null && ns == relation.NullNotEqualsNull {
-				skip = true
-				break
-			}
-			key += v + "\x01"
-		}
-		if skip {
+		var ok bool
+		if key, ok = fd.GroupKey(key[:0], row, attrs, ns); !ok {
 			continue
 		}
 		rv := row[f.Rhs]
-		for _, prev := range groups[key] {
+		for _, prev := range groups[string(key)] {
 			disagree := prev.rhs != rv ||
 				(rv == relation.Null && ns == relation.NullNotEqualsNull)
 			if disagree {
@@ -194,7 +186,7 @@ func Violations(rel *relation.Relation, ns relation.NullSemantics, f fd.FD, limi
 				}
 			}
 		}
-		groups[key] = append(groups[key], entry{row: i, rhs: rv})
+		groups[string(key)] = append(groups[string(key)], entry{row: i, rhs: rv})
 	}
 	return out
 }

@@ -117,10 +117,11 @@ type Stats struct {
 	// Wall-clock per-phase timings, sourced from the run's trace events:
 	// PreprocessingTime covers PLI and compressed-record construction,
 	// SamplingTime sums the Phase 1 rounds (sampling + induction),
-	// ValidationTime sums the Phase 2 levels, and TotalTime covers the
-	// whole run.
+	// InductionTime the induction part of those rounds, ValidationTime
+	// sums the Phase 2 levels, and TotalTime covers the whole run.
 	PreprocessingTime time.Duration `json:"preprocessing_ns"`
 	SamplingTime      time.Duration `json:"sampling_ns"`
+	InductionTime     time.Duration `json:"induction_ns"`
 	ValidationTime    time.Duration `json:"validation_ns"`
 	TotalTime         time.Duration `json:"total_ns"`
 }
@@ -136,6 +137,7 @@ func (t statsTimers) Observe(e trace.Event) {
 		t.stats.PreprocessingTime = ev.Duration
 	case trace.SamplingRound:
 		t.stats.SamplingTime += ev.Duration
+		t.stats.InductionTime += ev.Induction
 		t.stats.AllPairs = t.stats.AllPairs || ev.AllPairs
 	case trace.ValidationLevel:
 		t.stats.ValidationTime += ev.Duration
@@ -378,7 +380,11 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 			return interrupted(err)
 		}
 		stats.SamplingRounds++
+		//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
+		inductionStart := time.Now()
 		s.ind.Update(newObs)
+		//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
+		induction := time.Since(inductionStart)
 		checkGuardian()
 		trace.Emit(obs, trace.SamplingRound{
 			Round:           stats.SamplingRounds,
@@ -388,7 +394,8 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 			Threshold:       smp.Threshold(),
 			AllPairs:        smp.AllPairs(),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-			Duration: time.Since(roundStart),
+			Duration:  time.Since(roundStart),
+			Induction: induction,
 		})
 		// Once the sampler has compared every record pair, the induced
 		// tree is final, in any round. Every agree set is then in the

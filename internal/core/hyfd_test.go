@@ -301,6 +301,23 @@ func TestDiscoverStatsTelemetry(t *testing.T) {
 	}
 }
 
+// TestDiscoverReportsInductionTime: on the FD-rich hepatitis analog,
+// induction takes measurable time, and it is a part of sampling's.
+func TestDiscoverReportsInductionTime(t *testing.T) {
+	d, err := datasets.ByName("hepatitis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := Discover(context.Background(), d.Generate(1), Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.InductionTime <= 0 || stats.InductionTime > stats.SamplingTime {
+		t.Fatalf("induction %v, sampling %v; want 0 < induction <= sampling",
+			stats.InductionTime, stats.SamplingTime)
+	}
+}
+
 // cutCover returns the FDs of set whose LHS has at most maxLhs attributes.
 func cutCover(set *fd.Set, numCols, maxLhs int) *fd.Set {
 	out := fd.NewSet(numCols)

@@ -5,7 +5,10 @@
 package fd
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,40 +38,132 @@ func (f FD) Format(rel *relation.Relation) string {
 	return fmt.Sprintf("[%s] -> %s", strings.Join(names, ","), rel.Columns[f.Rhs])
 }
 
-// key identifies an FD uniquely within one universe.
-func (f FD) key() string {
-	return f.Lhs.Key() + "\x00" + fmt.Sprint(f.Rhs)
+// keyBuf holds the key of an FD over up to 448 attributes on the stack.
+const keyBuf = 64
+
+// appendKey appends f's map key: the LHS word bytes, then the RHS in four
+// bytes. All LHS keys of one universe have the same length, so two FDs of
+// one set share a key iff they are equal.
+func (f FD) appendKey(dst []byte) []byte {
+	dst = f.Lhs.AppendKey(dst)
+	return binary.LittleEndian.AppendUint32(dst, uint32(f.Rhs))
 }
 
-// Set is a collection of distinct FDs over one attribute universe.
+// compare orders FDs canonically: ascending by RHS, then ascending LHS
+// cardinality, then by LHS Key() string.
+func compare(a, b FD) int {
+	if a.Rhs != b.Rhs {
+		return cmp.Compare(a.Rhs, b.Rhs)
+	}
+	if ca, cb := a.Lhs.Cardinality(), b.Lhs.Cardinality(); ca != cb {
+		return cmp.Compare(ca, cb)
+	}
+	return bitset.CompareKeys(a.Lhs, b.Lhs)
+}
+
+// sortCanonical returns fds in canonical order. It sorts precomputed keys:
+// RHS and LHS cardinality, then the first eight bytes of the LHS key read
+// big-endian, which order as those bytes do. Whole LHS keys are compared
+// only on ties, which need a universe of more than 64 attributes.
+func sortCanonical(fds []FD) []FD {
+	type sortKey struct {
+		hi, lo uint64
+		i      int
+	}
+	keys := make([]sortKey, len(fds))
+	var buf [keyBuf]byte
+	for i, f := range fds {
+		k := sortKey{hi: uint64(f.Rhs)<<32 | uint64(f.Lhs.Cardinality()), i: i}
+		if b := f.Lhs.AppendKey(buf[:0]); len(b) >= 8 {
+			k.lo = binary.BigEndian.Uint64(b)
+		}
+		keys[i] = k
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.hi != b.hi {
+			return cmp.Compare(a.hi, b.hi)
+		}
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
+		}
+		return bitset.CompareKeys(fds[a.i].Lhs, fds[b.i].Lhs)
+	})
+	out := make([]FD, len(fds))
+	for j, k := range keys {
+		out[j] = fds[k.i]
+	}
+	return out
+}
+
+// Set is a collection of distinct FDs over one attribute universe. As long
+// as its FDs arrive in canonical order, it keeps them sorted and finds them
+// by binary search. The first FD added out of order switches it to a map
+// keyed by appendKey.
 type Set struct {
 	fds  []FD
-	seen map[string]struct{}
-	n    int // universe size
+	n    int                 // universe size
+	seen map[string]struct{} // nil while fds is in canonical order
 }
 
 // NewSet returns an empty FD set over a universe of n attributes.
 func NewSet(n int) *Set {
-	return &Set{seen: make(map[string]struct{}), n: n}
+	return &Set{n: n}
+}
+
+// NewSetOf returns the set of the given FDs over a universe of n
+// attributes, sorting them once.
+func NewSetOf(n int, fds []FD) *Set {
+	sorted := sortCanonical(fds)
+	out := sorted[:0]
+	for _, f := range sorted {
+		if len(out) == 0 || compare(out[len(out)-1], f) != 0 {
+			out = append(out, f)
+		}
+	}
+	return &Set{fds: out, n: n}
 }
 
 // Universe returns the attribute universe size.
 func (s *Set) Universe() int { return s.n }
 
+// search finds f in the sorted fds, or where it would go.
+func (s *Set) search(f FD) (int, bool) {
+	return slices.BinarySearchFunc(s.fds, f, compare)
+}
+
 // Add inserts the FD if not already present; it reports whether it was new.
 func (s *Set) Add(f FD) bool {
-	k := f.key()
-	if _, dup := s.seen[k]; dup {
+	var buf [keyBuf]byte
+	if s.seen == nil {
+		if len(s.fds) == 0 || compare(s.fds[len(s.fds)-1], f) < 0 {
+			s.fds = append(s.fds, f)
+			return true
+		}
+		if _, found := s.search(f); found {
+			return false
+		}
+		s.seen = make(map[string]struct{}, len(s.fds)+1)
+		for _, g := range s.fds {
+			s.seen[string(g.appendKey(buf[:0]))] = struct{}{}
+		}
+	}
+	k := f.appendKey(buf[:0])
+	if _, dup := s.seen[string(k)]; dup {
 		return false
 	}
-	s.seen[k] = struct{}{}
+	s.seen[string(k)] = struct{}{}
 	s.fds = append(s.fds, f)
 	return true
 }
 
 // Contains reports whether the exact FD is in the set.
 func (s *Set) Contains(f FD) bool {
-	_, ok := s.seen[f.key()]
+	if s.seen == nil {
+		_, found := s.search(f)
+		return found
+	}
+	var buf [keyBuf]byte
+	_, ok := s.seen[string(f.appendKey(buf[:0]))]
 	return ok
 }
 
@@ -78,18 +173,10 @@ func (s *Set) Size() int { return len(s.fds) }
 // All returns the FDs in canonical order: ascending by RHS, then ascending
 // LHS cardinality, then lexicographic LHS. The returned slice is fresh.
 func (s *Set) All() []FD {
-	out := append([]FD(nil), s.fds...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rhs != out[j].Rhs {
-			return out[i].Rhs < out[j].Rhs
-		}
-		ci, cj := out[i].Lhs.Cardinality(), out[j].Lhs.Cardinality()
-		if ci != cj {
-			return ci < cj
-		}
-		return out[i].Lhs.Key() < out[j].Lhs.Key()
-	})
-	return out
+	if s.seen != nil {
+		return sortCanonical(s.fds)
+	}
+	return append([]FD(nil), s.fds...)
 }
 
 // Equal reports whether both sets contain exactly the same FDs.
@@ -97,8 +184,8 @@ func (s *Set) Equal(t *Set) bool {
 	if s.Size() != t.Size() {
 		return false
 	}
-	for k := range s.seen {
-		if _, ok := t.seen[k]; !ok {
+	for _, f := range s.fds {
+		if !t.Contains(f) {
 			return false
 		}
 	}

@@ -1,8 +1,11 @@
 package fd
 
 import (
+	"bytes"
 	"math/rand"
+	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +40,20 @@ func TestHolds(t *testing.T) {
 	// Empty LHS: only if RHS constant.
 	if Holds(rel, relation.NullEqualsNull, bitset.New(3), 0) {
 		t.Fatal("∅ -> Teacher should not hold")
+	}
+}
+
+// TestHoldsCellsContainingSeparators: records that differ on the LHS stay
+// in different groups whatever bytes their cells hold, so a separator
+// inside a value cannot merge them.
+func TestHoldsCellsContainingSeparators(t *testing.T) {
+	rel := relation.New("r", []string{"A", "B", "C"})
+	rel.AppendRow([]string{"a\x01b", "c", "1"})
+	rel.AppendRow([]string{"a", "b\x01c", "2"})
+	rel.AppendRow([]string{"", "\x00", "3"})
+	rel.AppendRow([]string{"\x00", "", "4"})
+	if !Holds(rel, relation.NullEqualsNull, bitset.FromIndices(3, 0, 1), 2) {
+		t.Fatal("AB -> C should hold: no two records agree on AB")
 	}
 }
 
@@ -107,6 +124,127 @@ func TestAllCanonicalOrder(t *testing.T) {
 	if all[2].Rhs != 1 {
 		t.Fatalf("canonical order broken: %v", all)
 	}
+}
+
+// keyStringOrder sorts a copy of fds into canonical order as defined, by
+// RHS, then LHS cardinality, then the LHS Key() strings, building the
+// strings in every comparison.
+func keyStringOrder(fds []FD) []FD {
+	out := append([]FD(nil), fds...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Rhs != out[j].Rhs {
+			return out[i].Rhs < out[j].Rhs
+		}
+		ci, cj := out[i].Lhs.Cardinality(), out[j].Lhs.Cardinality()
+		if ci != cj {
+			return ci < cj
+		}
+		return out[i].Lhs.Key() < out[j].Lhs.Key()
+	})
+	return out
+}
+
+// checkCanonical fails unless s.All() lists the FDs of s in key-string
+// order.
+func checkCanonical(t *testing.T, how string, s *Set) {
+	t.Helper()
+	all := s.All()
+	if len(all) != s.Size() {
+		t.Fatalf("%s: All has %d FDs, Size %d", how, len(all), s.Size())
+	}
+	for i, f := range keyStringOrder(all) {
+		if !all[i].Lhs.Equal(f.Lhs) || all[i].Rhs != f.Rhs {
+			t.Fatalf("%s: All()[%d] = %v, want %v", how, i, all[i], f)
+		}
+	}
+}
+
+// randomFDs draws count FDs, duplicates included, over n attributes.
+func randomFDs(r *rand.Rand, n, count int) []FD {
+	out := make([]FD, count)
+	for i := range out {
+		lhs := bitset.New(n)
+		for a := 0; a < n; a++ {
+			if r.Intn(4) == 0 {
+				lhs.Set(a)
+			}
+		}
+		out[i] = FD{Lhs: lhs, Rhs: r.Intn(n)}
+	}
+	return out
+}
+
+// TestAllMatchesKeyStringOrder: All keeps the canonical order however the
+// set was built, including a set that stops being in order.
+func TestAllMatchesKeyStringOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 3, 17, 64, 70} {
+		for trial := 0; trial < 20; trial++ {
+			fds := randomFDs(r, n, r.Intn(60))
+			random := NewSet(n)
+			for _, f := range fds {
+				random.Add(f)
+			}
+			checkCanonical(t, "Add in random order", random)
+
+			built := NewSetOf(n, append([]FD(nil), fds...))
+			if !built.Equal(random) {
+				t.Fatalf("NewSetOf holds %v, want %v", built.All(), random.All())
+			}
+			checkCanonical(t, "NewSetOf", built)
+			for _, f := range randomFDs(r, n, 5) {
+				built.Add(f)
+				checkCanonical(t, "Add after a canonical build", built)
+			}
+
+			checkCanonical(t, "Minimize", random.Minimize())
+
+			cols := make([]string, n)
+			for i := range cols {
+				cols[i] = "c" + strconv.Itoa(i)
+			}
+			rel := relation.New("r", cols)
+			var buf bytes.Buffer
+			if err := random.WriteJSON(&buf, rel); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadJSON(&buf, rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCanonical(t, "ReadJSON", back)
+		}
+	}
+}
+
+// TestSetConcurrentReads: Contains, All and Equal write nothing to the
+// set, so one set may be read from several goroutines (run under -race).
+func TestSetConcurrentReads(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	fds := randomFDs(r, 12, 200)
+	sorted := NewSetOf(12, append([]FD(nil), fds...))
+	unsorted := NewSet(12)
+	for _, f := range fds {
+		unsorted.Add(f)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range []*Set{sorted, unsorted} {
+				for _, f := range fds {
+					if !s.Contains(f) {
+						t.Errorf("Contains(%v) = false", f)
+					}
+				}
+				if len(s.All()) != s.Size() || !s.Equal(sorted) {
+					t.Error("All or Equal changed under concurrent reads")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMinimize(t *testing.T) {

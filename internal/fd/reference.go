@@ -1,11 +1,27 @@
 package fd
 
 import (
-	"strings"
+	"encoding/binary"
 
 	"hyfd/internal/bitset"
 	"hyfd/internal/relation"
 )
+
+// GroupKey appends to dst the key that groups row with the records agreeing
+// with it on attrs: each cell prefixed with its length, so two different
+// value lists never share a key, whatever bytes the cells hold. It reports
+// false if a null cell makes the record unique on attrs (null≠null).
+func GroupKey(dst []byte, row []string, attrs []int, ns relation.NullSemantics) ([]byte, bool) {
+	for _, a := range attrs {
+		v := row[a]
+		if v == relation.Null && ns == relation.NullNotEqualsNull {
+			return dst, false
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst, true
+}
 
 // Holds checks the FD lhs → rhs directly against the relation by grouping
 // records on their LHS values, honoring the null semantics. It is the
@@ -14,26 +30,16 @@ import (
 func Holds(rel *relation.Relation, ns relation.NullSemantics, lhs bitset.Set, rhs int) bool {
 	attrs := lhs.Indices()
 	groups := make(map[string]string, len(rel.Rows))
-	var key strings.Builder
+	var key []byte
 	for _, row := range rel.Rows {
-		key.Reset()
-		skip := false
-		for _, a := range attrs {
-			v := row[a]
-			if v == relation.Null && ns == relation.NullNotEqualsNull {
-				// A null LHS cell makes the record unique on the LHS under
-				// null≠null; it can never collide with another record.
-				skip = true
-				break
-			}
-			key.WriteString(v)
-			key.WriteByte('\x01')
-		}
-		if skip {
+		var ok bool
+		// A null LHS cell under null≠null makes the record unique on the
+		// LHS; it can never collide with another record.
+		if key, ok = GroupKey(key[:0], row, attrs, ns); !ok {
 			continue
 		}
 		rv := row[rhs]
-		if prev, ok := groups[key.String()]; ok {
+		if prev, ok := groups[string(key)]; ok {
 			if prev != rv {
 				return false
 			}
@@ -41,7 +47,7 @@ func Holds(rel *relation.Relation, ns relation.NullSemantics, lhs bitset.Set, rh
 				return false // two nulls disagree under null≠null
 			}
 		} else {
-			groups[key.String()] = rv
+			groups[string(key)] = rv
 		}
 	}
 	return true

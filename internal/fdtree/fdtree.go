@@ -71,10 +71,12 @@ func (t *Tree) MaxLhs() int { return t.maxLhs }
 // ApproxBytes estimates the tree's live heap footprint, the quantity the
 // Guardian budgets against.
 func (t *Tree) ApproxBytes() int {
-	words := (t.numAttrs + 63) / 64
-	perNode := 8*t.numAttrs + 2*8*words + 64 // child ptrs + two bitsets + header slack
+	perNode := 8*t.numAttrs + 2*8*t.wordsPerSet() + 64 // child ptrs + two bitsets + header slack
 	return t.nodeCount * perNode
 }
+
+// wordsPerSet is the word count of one attribute set of the universe.
+func (t *Tree) wordsPerSet() int { return (t.numAttrs + 63) / 64 }
 
 // Add inserts lhs → rhs. It reports false if the FD was already present or
 // exceeds the max LHS bound.
@@ -103,12 +105,30 @@ func (t *Tree) Add(lhs bitset.Set, rhs int) bool {
 	return true
 }
 
-// AddRhss inserts lhs → A for every A in rhss (used to seed ∅ → R).
+// AddRhss inserts lhs → A for every A in rhss in one walk down lhs's path.
+// It leaves the tree as one Add per A would, and like Add it refuses an LHS
+// beyond the max LHS bound.
 func (t *Tree) AddRhss(lhs bitset.Set, rhss bitset.Set) {
-	rhss.ForEach(func(a int) bool {
-		t.Add(lhs, a)
-		return true
-	})
+	if rhss.IsEmpty() || lhs.Cardinality() > t.maxLhs {
+		return
+	}
+	n := t.root
+	n.rhsAttrs.UnionWith(rhss)
+	for a := lhs.NextSet(0); a >= 0; a = lhs.NextSet(a + 1) {
+		c := n.children[a]
+		if c == nil {
+			c = t.newNode()
+			n.children[a] = c
+		}
+		c.rhsAttrs.UnionWith(rhss)
+		n = c
+	}
+	n.rhsFds.UnionWith(rhss)
+	if invariant.Enabled {
+		for r := rhss.NextSet(0); r >= 0; r = rhss.NextSet(r + 1) {
+			t.assertPathMarked(lhs, r)
+		}
+	}
 }
 
 // ContainsFd reports whether exactly lhs → rhs is in the tree.
@@ -141,27 +161,58 @@ func (t *Tree) findGeneral(n *node, lhs bitset.Set, rhs int, from int) bool {
 	return false
 }
 
-// GetFdAndGenerals returns every lhs' ⊆ lhs with lhs' → rhs in the tree
-// (Alg. 3 line 10: the FDs an observed non-FD invalidates).
-func (t *Tree) GetFdAndGenerals(lhs bitset.Set, rhs int) []bitset.Set {
-	var out []bitset.Set
-	t.collectGenerals(t.root, lhs, rhs, 0, bitset.New(t.numAttrs), &out)
+// Generalization is an LHS found in the tree by GetFdsAndGenerals, with the
+// queried RHSs its node marks.
+type Generalization struct {
+	Lhs, Rhss bitset.Set
+}
+
+// GetFdsAndGenerals returns every lhs' ⊆ lhs whose node marks an RHS in
+// rhss, paired with those RHSs, in depth-first order (Alg. 3 line 10 for
+// all of rhss at once: the FDs an observed non-FD invalidates). For each
+// A in rhss, the entries holding A list exactly the LHSs a walk for A
+// alone would find, in the same order.
+func (t *Tree) GetFdsAndGenerals(lhs, rhss bitset.Set) []Generalization {
+	var out []Generalization
+	t.collectGenerals(t.root, lhs, rhss, 0, bitset.New(t.numAttrs), &out)
 	return out
 }
 
-func (t *Tree) collectGenerals(n *node, lhs bitset.Set, rhs int, from int, path bitset.Set, out *[]bitset.Set) {
-	if n.rhsFds.Test(rhs) {
-		*out = append(*out, path.Clone())
+func (t *Tree) collectGenerals(n *node, lhs, rhss bitset.Set, from int, path bitset.Set, out *[]Generalization) {
+	if n.rhsFds.Intersects(rhss) {
+		*out = append(*out, Generalization{Lhs: path.Clone(), Rhss: n.rhsFds.And(rhss)})
 	}
 	for a := lhs.NextSet(from); a >= 0; a = lhs.NextSet(a + 1) {
 		c := n.children[a]
-		if c == nil || !c.rhsAttrs.Test(rhs) {
+		if c == nil || !c.rhsAttrs.Intersects(rhss) {
 			continue
 		}
 		path.Set(a)
-		t.collectGenerals(c, lhs, rhs, a+1, path, out)
+		t.collectGenerals(c, lhs, rhss, a+1, path, out)
 		path.Clear(a)
 	}
+}
+
+// ClearCovered removes from rhss, in place, every A for which the tree
+// holds lhs' → A with lhs' ⊆ lhs: FindFdOrGeneral for all of rhss in one
+// walk, which stops once rhss is empty.
+func (t *Tree) ClearCovered(lhs, rhss bitset.Set) {
+	t.clearCovered(t.root, lhs, rhss, 0)
+}
+
+// clearCovered reports whether rhss ran empty.
+func (t *Tree) clearCovered(n *node, lhs, rhss bitset.Set, from int) bool {
+	rhss.AndNotWith(n.rhsFds)
+	if rhss.IsEmpty() {
+		return true
+	}
+	for a := lhs.NextSet(from); a >= 0; a = lhs.NextSet(a + 1) {
+		c := n.children[a]
+		if c != nil && c.rhsAttrs.Intersects(rhss) && t.clearCovered(c, lhs, rhss, a+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // Remove deletes exactly lhs → rhs, pruning nodes that no longer carry any
@@ -352,24 +403,28 @@ func depth(n *node) int {
 	return d
 }
 
-// FDs returns every FD stored in the tree as a canonical fd.Set.
+// FDs returns every FD stored in the tree as a canonical fd.Set. It
+// collects the FDs in one walk, with all their LHSs in one backing array,
+// and sorts them once.
 func (t *Tree) FDs() *fd.Set {
-	out := fd.NewSet(t.numAttrs)
-	t.collectFDs(t.root, bitset.New(t.numAttrs), out)
-	return out
+	fds := make([]fd.FD, 0, t.CountFDs())
+	words := make([]uint64, cap(fds)*t.wordsPerSet())
+	t.collectFDs(t.root, bitset.New(t.numAttrs), &fds, &words)
+	return fd.NewSetOf(t.numAttrs, fds)
 }
 
-func (t *Tree) collectFDs(n *node, path bitset.Set, out *fd.Set) {
-	n.rhsFds.ForEach(func(rhs int) bool {
-		out.Add(fd.FD{Lhs: path.Clone(), Rhs: rhs})
-		return true
-	})
+func (t *Tree) collectFDs(n *node, path bitset.Set, out *[]fd.FD, words *[]uint64) {
+	w := t.wordsPerSet()
+	for rhs := n.rhsFds.NextSet(0); rhs >= 0; rhs = n.rhsFds.NextSet(rhs + 1) {
+		*out = append(*out, fd.FD{Lhs: path.CloneInto(*words), Rhs: rhs})
+		*words = (*words)[w:]
+	}
 	for a, c := range n.children {
 		if c == nil {
 			continue
 		}
 		path.Set(a)
-		t.collectFDs(c, path, out)
+		t.collectFDs(c, path, out, words)
 		path.Clear(a)
 	}
 }

@@ -2,6 +2,7 @@ package fdtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,25 +84,57 @@ func TestFindFdOrGeneral(t *testing.T) {
 	}
 }
 
-func TestGetFdAndGenerals(t *testing.T) {
+func TestGetFdsAndGenerals(t *testing.T) {
 	tr := New(6)
 	tr.Add(bitset.FromIndices(6, 1), 5)
 	tr.Add(bitset.FromIndices(6, 1, 3), 5) // non-minimal on purpose
 	tr.Add(bitset.FromIndices(6, 2), 5)
 	tr.Add(bitset.FromIndices(6, 4), 5) // not ⊆ query
-	tr.Add(bitset.FromIndices(6, 1), 4) // wrong RHS
-	got := tr.GetFdAndGenerals(bitset.FromIndices(6, 1, 2, 3), 5)
-	if len(got) != 3 {
-		t.Fatalf("GetFdAndGenerals returned %d LHSs: %v", len(got), got)
+	tr.Add(bitset.FromIndices(6, 1), 4)
+	tr.Add(bitset.FromIndices(6, 3), 0) // outside the mask
+	query := bitset.FromIndices(6, 1, 2, 3)
+	type entry struct{ lhs, rhss []int }
+	for _, c := range []struct {
+		mask []int
+		want []entry
+	}{
+		// One masked RHS: the per-RHS walk, in depth-first order.
+		{[]int{5}, []entry{{[]int{1}, []int{5}}, {[]int{1, 3}, []int{5}}, {[]int{2}, []int{5}}}},
+		{[]int{4}, []entry{{[]int{1}, []int{4}}}},
+		// Several: each LHS once, with the masked RHSs its node marks.
+		{[]int{4, 5}, []entry{{[]int{1}, []int{4, 5}}, {[]int{1, 3}, []int{5}}, {[]int{2}, []int{5}}}},
+		{[]int{1, 2}, nil},
+	} {
+		got := tr.GetFdsAndGenerals(query, bitset.FromIndices(6, c.mask...))
+		if len(got) != len(c.want) {
+			t.Fatalf("mask %v: got %d generalizations %v, want %v", c.mask, len(got), got, c.want)
+		}
+		for i, g := range got {
+			if !g.Lhs.Equal(bitset.FromIndices(6, c.want[i].lhs...)) || !g.Rhss.Equal(bitset.FromIndices(6, c.want[i].rhss...)) {
+				t.Fatalf("mask %v: entry %d = %v → %v, want %v", c.mask, i, g.Lhs, g.Rhss, c.want[i])
+			}
+		}
 	}
-	want := map[string]bool{
-		bitset.FromIndices(6, 1).Key():    true,
-		bitset.FromIndices(6, 1, 3).Key(): true,
-		bitset.FromIndices(6, 2).Key():    true,
-	}
-	for _, l := range got {
-		if !want[l.Key()] {
-			t.Fatalf("unexpected LHS %v", l)
+}
+
+func TestClearCovered(t *testing.T) {
+	tr := New(6)
+	tr.Add(bitset.New(6), 0)
+	tr.Add(bitset.FromIndices(6, 1, 3), 5)
+	tr.Add(bitset.FromIndices(6, 2), 4)
+	for _, c := range []struct {
+		lhs, rhss, want []int
+	}{
+		{[]int{1, 2, 3}, []int{0, 1, 4, 5}, []int{1}},
+		{[]int{1, 2}, []int{0, 4, 5}, []int{5}},
+		{[]int{1}, []int{5}, []int{5}},
+		{[]int{}, []int{0, 3}, []int{3}},
+		{[]int{2}, []int{0, 4}, []int{}}, // empties the mask
+	} {
+		rhss := bitset.FromIndices(6, c.rhss...)
+		tr.ClearCovered(bitset.FromIndices(6, c.lhs...), rhss)
+		if !rhss.Equal(bitset.FromIndices(6, c.want...)) {
+			t.Fatalf("ClearCovered(%v, %v) left %v, want %v", c.lhs, c.rhss, rhss, c.want)
 		}
 	}
 }
@@ -260,6 +293,62 @@ func TestFDsRoundTrip(t *testing.T) {
 	}
 }
 
+// randomTree returns a tree holding about k random FDs over n attributes.
+func randomTree(r *rand.Rand, n, k int) *Tree {
+	tr := New(n)
+	for i := 0; i < k; i++ {
+		lhs := bitset.New(n)
+		for a := 0; a < n; a++ {
+			if r.Intn(4) == 0 {
+				lhs.Set(a)
+			}
+		}
+		tr.Add(lhs, r.Intn(n))
+	}
+	return tr
+}
+
+// TestFDsCanonicalOrder: the extracted cover lists its FDs in the order
+// of RHS, then LHS size, then LHS Key() string, and every LHS owns its
+// words.
+func TestFDsCanonicalOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 5, 17, 70} {
+		tr := randomTree(r, n, 300)
+		all := tr.FDs().All()
+		if len(all) != tr.CountFDs() {
+			t.Fatalf("n=%d: %d FDs extracted, tree holds %d", n, len(all), tr.CountFDs())
+		}
+		for i := 1; i < len(all); i++ {
+			a, b := all[i-1], all[i]
+			ordered := a.Rhs < b.Rhs ||
+				a.Rhs == b.Rhs && (a.Lhs.Cardinality() < b.Lhs.Cardinality() ||
+					a.Lhs.Cardinality() == b.Lhs.Cardinality() && a.Lhs.Key() < b.Lhs.Key())
+			if !ordered {
+				t.Fatalf("n=%d: %v listed before %v", n, a, b)
+			}
+		}
+		for i, f := range all {
+			f.Lhs.CopyFrom(bitset.FromIndices(n, i%n))
+		}
+		for i, f := range all {
+			if !f.Lhs.Equal(bitset.FromIndices(n, i%n)) {
+				t.Fatalf("n=%d: extracted LHSs share words", n)
+			}
+		}
+	}
+}
+
+// TestFDsAllocs: extracting a cover of k FDs and listing it makes at most
+// two allocations per FD plus a constant.
+func TestFDsAllocs(t *testing.T) {
+	tr := randomTree(rand.New(rand.NewSource(13)), 20, 3000)
+	k := tr.CountFDs()
+	if n := testing.AllocsPerRun(5, func() { tr.FDs().All() }); n > float64(2*k+32) {
+		t.Fatalf("FDs plus All made %v allocations for %d FDs, want at most 2 per FD plus 32", n, k)
+	}
+}
+
 func TestApproxBytesGrows(t *testing.T) {
 	tr := New(8)
 	base := tr.ApproxBytes()
@@ -270,58 +359,83 @@ func TestApproxBytesGrows(t *testing.T) {
 }
 
 // TestQuickTreeMatchesNaive compares the tree against a naive FD store on
-// random add/remove/lookup workloads.
+// random add/remove/lookup workloads, over one- and two-word universes. The
+// masked walks are checked with single-bit and multi-bit masks.
 func TestQuickTreeMatchesNaive(t *testing.T) {
-	const n = 8
+	type stored struct {
+		lhs bitset.Set
+		rhs int
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		n := []int{8, 70}[r.Intn(2)]
 		tr := New(n)
-		naive := make(map[string]bitset.Set) // key → lhs, per (lhs,rhs) pair
-		randLhs := func() bitset.Set {
+		naive := make(map[string]stored) // one entry per (lhs, rhs) pair
+		randSet := func(oneIn int) bitset.Set {
 			s := bitset.New(n)
 			for i := 0; i < n; i++ {
-				if r.Intn(3) == 0 {
+				if r.Intn(oneIn) == 0 {
 					s.Set(i)
 				}
 			}
 			return s
 		}
 		for op := 0; op < 120; op++ {
-			lhs := randLhs()
+			lhs := randSet(3)
+			if n > 8 {
+				lhs = randSet(12)
+			}
 			rhs := r.Intn(n)
 			key := lhs.Key() + "|" + string(rune(rhs))
+			_, present := naive[key]
 			switch r.Intn(3) {
 			case 0: // add
-				_, present := naive[key]
 				if tr.Add(lhs, rhs) != !present {
 					return false
 				}
-				naive[key] = lhs
+				naive[key] = stored{lhs, rhs}
 			case 1: // remove
-				_, present := naive[key]
 				if tr.Remove(lhs, rhs) != present {
 					return false
 				}
 				delete(naive, key)
 			default: // lookups
-				_, present := naive[key]
 				if tr.ContainsFd(lhs, rhs) != present {
 					return false
 				}
-				// Generalization ground truth: scan all stored FDs.
+				mask := randSet(2)
+				if r.Intn(2) == 0 {
+					mask = bitset.FromIndices(n, rhs)
+				}
+				// Ground truth: scan all stored FDs.
 				wantGen := false
-				var wantGenerals int
-				for k, l := range naive {
-					storedRhs := int(k[len(k)-1])
-					if storedRhs == rhs && l.IsSubsetOf(lhs) {
-						wantGen = true
-						wantGenerals++
+				generals := make(map[string]Generalization)
+				covered := bitset.New(n)
+				for _, e := range naive {
+					if !e.lhs.IsSubsetOf(lhs) {
+						continue
 					}
+					wantGen = wantGen || e.rhs == rhs
+					covered.Set(e.rhs)
+					if !mask.Test(e.rhs) {
+						continue
+					}
+					g, ok := generals[e.lhs.Key()]
+					if !ok {
+						g = Generalization{Lhs: e.lhs, Rhss: bitset.New(n)}
+						generals[e.lhs.Key()] = g
+					}
+					g.Rhss.Set(e.rhs)
 				}
 				if tr.FindFdOrGeneral(lhs, rhs) != wantGen {
 					return false
 				}
-				if len(tr.GetFdAndGenerals(lhs, rhs)) != wantGenerals {
+				if !sameGenerals(tr.GetFdsAndGenerals(lhs, mask), generals) {
+					return false
+				}
+				left := mask.Clone()
+				tr.ClearCovered(lhs, left)
+				if !left.Equal(mask.AndNot(covered)) {
 					return false
 				}
 			}
@@ -334,6 +448,25 @@ func TestQuickTreeMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameGenerals reports whether got holds exactly the generalizations in
+// want, in depth-first order: ascending by the LHS's attribute list, a
+// prefix before its extensions.
+func sameGenerals(got []Generalization, want map[string]Generalization) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, g := range got {
+		w, ok := want[g.Lhs.Key()]
+		if !ok || !g.Rhss.Equal(w.Rhss) {
+			return false
+		}
+		if i > 0 && slices.Compare(got[i-1].Lhs.Indices(), g.Lhs.Indices()) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func BenchmarkFindFdOrGeneral(b *testing.B) {
@@ -383,5 +516,14 @@ func BenchmarkAddRemove(b *testing.B) {
 		for k, lhs := range lhss {
 			tr.Remove(lhs, k%n)
 		}
+	}
+}
+
+func BenchmarkTreeFDs(b *testing.B) {
+	tr := randomTree(rand.New(rand.NewSource(7)), 17, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.FDs().All()
 	}
 }

@@ -16,8 +16,9 @@ import (
 // persists across calls so subsequent sampling rounds refine, not rebuild,
 // the candidate set.
 type Inductor struct {
-	fds      *fdtree.Tree
-	numAttrs int
+	fds *fdtree.Tree
+	// Scratch sets for one specialization: its LHS and its candidate RHSs.
+	lhs, cand bitset.Set
 }
 
 // New returns an Inductor that seeds the tree with the most general FDs
@@ -27,7 +28,7 @@ func New(numAttrs int) *Inductor {
 	empty := bitset.New(numAttrs)
 	all := empty.Flip()
 	t.AddRhss(empty, all)
-	return &Inductor{fds: t, numAttrs: numAttrs}
+	return &Inductor{fds: t, lhs: bitset.New(numAttrs), cand: bitset.New(numAttrs)}
 }
 
 // Tree returns the shared candidate FDTree.
@@ -43,40 +44,43 @@ func (in *Inductor) Update(nonFds []bitset.Set) {
 	sort.Slice(sorted, func(i, j int) bool {
 		return bitset.CompareCardinalityDesc(sorted[i], sorted[j]) < 0
 	})
-	for _, lhs := range sorted {
-		rhss := lhs.Flip()
-		rhss.ForEach(func(rhs int) bool {
-			in.specialize(lhs, rhs)
-			return true
-		})
+	for _, agree := range sorted {
+		in.specialize(agree)
 	}
 }
 
-// specialize removes lhs → rhs and all its generalizations from the tree
-// and re-adds every still-valid minimal specialization (Alg. 3 lines
-// 10-20).
-func (in *Inductor) specialize(lhs bitset.Set, rhs int) {
-	invalidLhss := in.fds.GetFdAndGenerals(lhs, rhs)
+// specialize removes X → A for every X ⊆ agree and A ∉ agree, and re-adds
+// every still-valid minimal specialization (Alg. 3 lines 10-20). It
+// handles all such A in one pass: one walk collects the generalizations
+// with their RHSs, and one walk per specialization clears the RHSs it
+// would not add. Per RHS A, the tree operations are those of Alg. 3 for
+// agree ↛ A alone, in the same order, and operations for different RHSs
+// touch different bits, so the tree comes out the same.
+func (in *Inductor) specialize(agree bitset.Set) {
+	rhss := agree.Flip()
 	maxLhs := in.fds.MaxLhs()
-	for _, invalidLhs := range invalidLhss {
-		in.fds.Remove(invalidLhs, rhs)
-		if invalidLhs.Cardinality() >= maxLhs {
+	for _, g := range in.fds.GetFdsAndGenerals(agree, rhss) {
+		for r := g.Rhss.NextSet(0); r >= 0; r = g.Rhss.NextSet(r + 1) {
+			in.fds.Remove(g.Lhs, r)
+		}
+		if g.Lhs.Cardinality() >= maxLhs {
 			continue // extensions would exceed the Guardian's bound
 		}
-		for attr := 0; attr < in.numAttrs; attr++ {
-			// Skip attributes of the observed agree-set, not just of
-			// invalidLhs: any extension inside the agree-set stays a
-			// generalization of the same non-FD and would be invalid by
-			// the very observation being processed (cf. the paper's
-			// worked example, where D ↛ B yields A→B and C→B only).
-			if lhs.Test(attr) || rhs == attr {
+		// Extend only by attributes outside the observed agree-set, not
+		// just outside g.Lhs: any extension inside the agree-set stays a
+		// generalization of the same non-FD and would be invalid by the
+		// very observation being processed (cf. the paper's worked
+		// example, where D ↛ B yields A→B and C→B only).
+		for a := rhss.NextSet(0); a >= 0; a = rhss.NextSet(a + 1) {
+			in.cand.CopyFrom(g.Rhss)
+			in.cand.Clear(a)
+			if in.cand.IsEmpty() {
 				continue
 			}
-			newLhs := invalidLhs.With(attr)
-			if in.fds.FindFdOrGeneral(newLhs, rhs) {
-				continue
-			}
-			in.fds.Add(newLhs, rhs)
+			in.lhs.CopyFrom(g.Lhs)
+			in.lhs.Set(a)
+			in.fds.ClearCovered(in.lhs, in.cand)
+			in.fds.AddRhss(in.lhs, in.cand)
 		}
 	}
 }

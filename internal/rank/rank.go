@@ -92,7 +92,7 @@ func Less(a, b FD) bool {
 	if ca != cb {
 		return ca < cb
 	}
-	return a.FD.Lhs.Key() < b.FD.Lhs.Key()
+	return bitset.CompareKeys(a.FD.Lhs, b.FD.Lhs) < 0
 }
 
 // Rank scores and orders a complete FD cover offline, returning the top k

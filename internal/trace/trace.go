@@ -109,6 +109,9 @@ type SamplingRound struct {
 	AllPairs bool
 	// Duration is the round's wall-clock time including induction.
 	Duration time.Duration
+	// Induction is the part of Duration spent inducing the round's new
+	// observations into the FDTree.
+	Induction time.Duration
 }
 
 // PhaseSwitch reports a hand-over between the two phases.

@@ -167,6 +167,6 @@ func sortUCCs(uccs []bitset.Set) {
 		if ci != cj {
 			return ci < cj
 		}
-		return uccs[i].Key() < uccs[j].Key()
+		return bitset.CompareKeys(uccs[i], uccs[j]) < 0
 	})
 }
