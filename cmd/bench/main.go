@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		worker     = flag.Bool("worker", false, "internal: run one job read from argv and emit JSON")
-		exp        = flag.String("exp", "all", "experiments to run: all or comma list of fig6,fig7,table1,table2,table3,fig8,prep,dataset_reuse,ranked,incremental,serving (serving is not part of all)")
+		exp        = flag.String("exp", "all", "experiments to run: all or comma list of fig6,fig7,table1,table2,table3,fig8,prep,dataset_reuse,ranked,incremental")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-run time limit (TL)")
 		memLimitMB = flag.Int("memlimit-mb", 8192, "per-run memory limit in MB (ML)")
 		inprocess  = flag.Bool("inprocess", false, "run jobs in-process (TL enforced via context deadlines, no ML enforcement; useful without exec permissions)")
@@ -47,11 +47,6 @@ func main() {
 		table3Rows = flag.Int("table3-rows", 0, "override Table 3 row cap")
 		fig8Rows   = flag.Int("fig8-rows", 0, "override Fig 8 sample size")
 		threads    = flag.Int("threads", 0, "override Table 2 worker count")
-
-		servingRequests = flag.Int("serving-requests", 0, "override the serving sweep's per-level trace length")
-		servingLoads    = flag.String("serving-loads", "", "override the serving sweep's offered-load levels (comma-separated req/s)")
-		servingWorkers  = flag.Int("serving-workers", 0, "override the serving sweep's worker count")
-		servingQueue    = flag.Int("serving-queue", 0, "override the serving sweep's queue depth")
 	)
 	flag.Parse()
 
@@ -87,10 +82,6 @@ func main() {
 		inProc:   *inprocess,
 	}
 	for _, id := range ids {
-		if strings.TrimSpace(id) == "serving" {
-			runServing(*servingRequests, *servingLoads, *servingWorkers, *servingQueue, *jsonDir)
-			continue
-		}
 		e, err := harness.ByID(strings.TrimSpace(id), opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
@@ -114,48 +105,6 @@ func main() {
 			}
 			fmt.Printf("\nartifact: %s\n", path)
 		}
-	}
-}
-
-// runServing executes the serving-capacity sweep: an in-process hyfdd server
-// (the production mux and worker pool behind a local listener) replayed with
-// deterministic synthetic traces at each offered load level.
-func runServing(requests int, loads string, workers, queueDepth int, jsonDir string) {
-	opts := harness.DefaultServingOptions()
-	if requests > 0 {
-		opts.Requests = requests
-	}
-	if workers > 0 {
-		opts.Workers = workers
-	}
-	if queueDepth > 0 {
-		opts.QueueDepth = queueDepth
-	}
-	if loads != "" {
-		opts.LoadsRPS = nil
-		for _, f := range strings.Split(loads, ",") {
-			var rps float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &rps); err != nil || rps <= 0 {
-				fmt.Fprintf(os.Stderr, "bench: bad -serving-loads entry %q\n", f)
-				os.Exit(2)
-			}
-			opts.LoadsRPS = append(opts.LoadsRPS, rps)
-		}
-	}
-	fmt.Printf("\n=== serving ===\nServing capacity — offered load vs latency, queue depth, and 429 rate\n\n")
-	art, err := harness.RunServing(context.Background(), opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	harness.RenderServing(os.Stdout, art)
-	if jsonDir != "" {
-		path, err := art.WriteFile(jsonDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nartifact: %s\n", path)
 	}
 }
 

@@ -261,6 +261,10 @@ func FuzzIncrementalDifferential(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 1, 2, 0, 0, 1})
 	// Empty delta: no bytes left after the base cells.
 	f.Add([]byte{2, 5})
+	// An insert that agrees with no base row: base (a,a), (a,b) has cover
+	// {} -> A; inserting (b,c) breaks it through a pair with an empty agree
+	// set, and the answer is {B} -> A.
+	f.Add([]byte{1, 2, 0, 0, 0, 1, 0, 1, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel := fuzzRelation(data)
 		if rel == nil {

@@ -272,7 +272,7 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 		var set *fd.Set
 		var istats incremental.Stats
 		if err == nil {
-			set, istats, err = incremental.Maintain(ctx, snap, incCover, incremental.Config{Threads: threads})
+			set, istats, err = incremental.Maintain(ctx, snap, incCover, incremental.Config{})
 		}
 		res.Seconds = time.Since(start).Seconds()
 		if err != nil {

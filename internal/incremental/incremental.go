@@ -1,56 +1,72 @@
 // Package incremental maintains a minimal FD cover across dataset snapshots
 // without re-running full discovery, in the spirit of EAIFD (PAPERS.md,
-// arXiv 2601.16025): a delta can only change the validity of candidates its
-// touched records participate in, so maintenance re-validates exactly those
-// and repairs the cover locally.
+// arXiv 2601.16025): deletes re-generalize the cover around the removed
+// records, and inserts specialize it with the delta's negative cover through
+// HyFD's induction (§7, Alg. 3), the algorithm discovery runs on sampled
+// record pairs.
 //
-// # Breakable-candidate derivation
+// Maintenance seeds an FDTree with the base cover, runs the delete phase,
+// then the insert phase, and extracts the tree.
+//
+// # Deletes: re-generalization
 //
 // Let T_r be the set of attributes in which record r's PLI-compressed value
 // is not a singleton. Two records can agree on attribute a only if both are
 // non-singleton in a, so every violating pair of an FD X→A agrees — is
-// non-singleton — on all of X:
+// non-singleton — on all of X. Deletes can only make X'→A newly valid if
+// every parent-violating pair of X'→A lost an endpoint, so some deleted
+// record r had X' ⊆ T_r (T_r computed on the parent's compressed records,
+// which Apply preserves in Provenance.DeletedRecords). The maximal such
+// candidate per (r, A) is T_r \ {A}; validity is upward-closed in the LHS, so
+// if that top candidate is invalid nothing below it flipped either. Where it
+// is valid, maintenance descends with full refinement checks to its minimal
+// valid generalizations and adds them to the tree.
 //
-//   - Inserts can only invalidate X→A if some inserted record r has X ⊆ T_r
-//     (T_r computed on the new snapshot). Base FDs failing this filter stay
-//     valid without a check. Moreover, every insert-phase candidate — a cover
-//     FD, or a specialization grown from one — was valid on the parent's rows
-//     (cover FDs because the base cover is exact, specializations because
-//     validity is upward-closed in the LHS), so a violation must pair an
-//     inserted record with a record agreeing on all of X. The insert phase
-//     therefore materializes the delta's negative cover — the distinct agree
-//     sets of every pair that involves an inserted record — once, and each
-//     candidate check reduces to subset tests against those sets: per-batch
-//     cost scales with the delta, not the data.
-//   - Deletes can only make X'→A newly valid if every parent-violating pair
-//     of X'→A lost an endpoint, so some deleted record r had X' ⊆ T_r (T_r
-//     computed on the parent's compressed records, which Apply preserves in
-//     Provenance.DeletedRecords). The maximal such candidate per (r, A) is
-//     T_r \ {A}; validity is upward-closed in the LHS, so if that top
-//     candidate is invalid nothing below it flipped either.
+// # Inserts: induction
 //
-// # Cover repair
+// The insert phase hands the tree to an inductor (inductor.Over) and
+// induces the delta's negative cover into it: the distinct agree sets of
+// every row pair that involves an inserted record. The cover stays exact:
 //
-// Maintenance seeds an FDTree with the base cover, then: (1) for every
-// deleted record's touched set, checks the top candidate per RHS and — where
-// valid — descends to its minimal valid generalizations (re-generalization);
-// (2) removes base FDs that an insert broke and specializes them upward,
-// with the validator's minimality prunes, until validity is restored. A
-// final minimization pass yields the canonical minimal cover, which is
-// unique — so the maintained result is byte-identical to a cold re-run.
+//   - Before induction, every FD that is valid on the new snapshot has a
+//     generalization in the tree: the base cover is exact for the parent,
+//     and the delete phase added what the deletes made valid.
+//   - Every FD in the tree holds on the parent's surviving rows.
+//   - So every violation the inserts add comes from a pair that involves an
+//     inserted record, and that pair's agree set is in the delta's negative
+//     cover.
+//   - Induction removes exactly the FDs those agree sets violate and keeps
+//     the rest minimal. This is Fdep's invariant.
+//
+// Only pairs that share a PLI cluster are enumerated, so a pair that agrees
+// on no attribute, and breaks every ∅→A, is found by counting: when an
+// inserted record shares a cluster with fewer than all other records, the
+// cover also carries the empty agree set.
+//
+// # Minimality
+//
+// An antichain is a set of FDs in which no LHS is a proper subset of another
+// LHS with the same RHS. Without delete-phase generalizations the tree
+// starts as the base cover's antichain and induction keeps it one, as
+// core.run argues for its all-pairs exit, so the extracted tree is already
+// the minimal cover. A generalization can leave base FDs above it in the
+// tree, so only then (Stats.Generalized > 0) does a final fd.Set.Minimize
+// run. The minimal cover is unique, so the maintained result is
+// byte-identical to a cold re-run.
 package incremental
 
 import (
 	"context"
 	"errors"
+	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"hyfd/internal/bitset"
 	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
 	"hyfd/internal/fdtree"
+	"hyfd/internal/inductor"
 	"hyfd/internal/pli"
 	"hyfd/internal/trace"
 	"hyfd/internal/validator"
@@ -58,10 +74,8 @@ import (
 
 // Config configures a maintenance run.
 type Config struct {
-	// Threads is the worker count for batched candidate re-validation;
-	// 1 runs sequentially, any value <= 0 picks the snapshot's resolved
-	// thread count. Every thread count yields bit-for-bit identical
-	// results.
+	// Threads is ignored: maintenance runs sequentially. The field is kept
+	// for callers that still set it and will be removed.
 	Threads int
 	// Observer receives trace events (IncrementalCandidates,
 	// IncrementalDone); nil disables tracing.
@@ -72,13 +86,15 @@ type Config struct {
 type Stats struct {
 	// BaseFDs is the size of the maintained base cover.
 	BaseFDs int
-	// Breakable counts base FDs the inserted records could have broken.
+	// Breakable counts base FDs the inserted records broke.
 	Breakable int
 	// DeleteSeeds counts distinct touched-attribute sets of deleted records.
 	DeleteSeeds int
-	// Checks counts direct-refinement validations performed.
+	// Checks counts the delete phase's direct-refinement validations; the
+	// insert phase performs none.
 	Checks int
-	// Specialized counts candidates added while repairing broken FDs.
+	// Specialized counts FDs induction added while repairing broken FDs,
+	// net of those it removed again.
 	Specialized int
 	// Generalized counts FDs added by delete-driven re-generalization.
 	Generalized int
@@ -113,19 +129,14 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 
 	ix := snap.Index()
 	m := ix.NumCols
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = snap.Threads()
-	}
-
 	w := &worker{
-		ix:    ix,
 		ck:    validator.NewChecker(ix),
 		tree:  fdtree.New(m),
 		memo:  make(map[string]bool),
 		stats: &stats,
 	}
-	for _, f := range base.All() {
+	baseFDs := base.All()
+	for _, f := range baseFDs {
 		w.tree.Add(f.Lhs, f.Rhs)
 	}
 	stats.BaseFDs = base.Size()
@@ -151,69 +162,37 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		}
 	}
 
-	// Phase B — inserts: re-validate breakable cover FDs against the new
-	// index, remove the broken ones, and specialize them back to validity.
-	var breakable []fd.FD
+	// Phase B — inserts: induce the delta's negative cover into the tree.
+	// Update sorts each call's agree sets by the total order below, so
+	// sorting the whole cover first and feeding it in chunks processes it
+	// as one call would, with a cancellation check between chunks.
 	if prov.Inserts > 0 {
-		w.vio = deltaViolations(ix, prov.InsertedFrom)
-		touched := insertedTouchedSets(ix, prov.InsertedFrom, m)
-		var unchecked []fd.FD
-		for _, f := range w.tree.FDs().All() {
-			if !anySuperset(touched, f.Lhs) {
-				continue
-			}
-			breakable = append(breakable, f)
-			if _, ok := w.memo[fdKey(f.Lhs, f.Rhs)]; !ok {
-				unchecked = append(unchecked, f)
-			}
-		}
-		stats.Breakable = len(breakable)
-		w.checkBatch(unchecked, threads)
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-
-		var queue []fd.FD
-		enqueued := make(map[string]bool)
-		for _, f := range breakable {
-			if !w.memo[fdKey(f.Lhs, f.Rhs)] {
-				w.tree.Remove(f.Lhs, f.Rhs)
-				enqueued[fdKey(f.Lhs, f.Rhs)] = true
-				queue = append(queue, f)
-			}
-		}
-		// Each invalid candidate is expanded exactly once (enqueued dedupes
-		// the worklist), valid specializations are added even when a
-		// generalization already covers them, and the final Minimize sweeps
-		// the resulting non-minimal FDs — cheaper than a deep tree lookup
-		// per lattice edge.
-		for len(queue) > 0 {
+		nonFds := deltaViolations(ix, prov.InsertedFrom)
+		sort.Slice(nonFds, func(i, j int) bool {
+			return bitset.CompareCardinalityDesc(nonFds[i], nonFds[j]) < 0
+		})
+		in := inductor.Over(w.tree)
+		before := w.tree.CountFDs()
+		for len(nonFds) > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, stats, err
 			}
-			f := queue[0]
-			queue = queue[1:]
-			for attr := 0; attr < m; attr++ {
-				if attr == f.Rhs || f.Lhs.Test(attr) {
-					continue
-				}
-				// The validator's key prune (Fig. 4): if attr alone
-				// determines rhs, every extension by attr is valid but
-				// redundant — the tree already covers it.
-				if w.tree.FindFdOrGeneral(bitset.FromIndices(m, attr), f.Rhs) {
-					continue
-				}
-				nl := f.Lhs.With(attr)
-				if w.validForInserts(nl, f.Rhs) {
-					if w.tree.Add(nl, f.Rhs) {
-						stats.Specialized++
-					}
-				} else if k := fdKey(nl, f.Rhs); !enqueued[k] {
-					enqueued[k] = true
-					queue = append(queue, fd.FD{Lhs: nl, Rhs: f.Rhs})
-				}
+			n := len(nonFds)
+			if n > inductChunk {
+				n = inductChunk
+			}
+			in.Update(nonFds[:n])
+			nonFds = nonFds[n:]
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		for _, f := range baseFDs {
+			if !w.tree.ContainsFd(f.Lhs, f.Rhs) {
+				stats.Breakable++
 			}
 		}
+		stats.Specialized = w.tree.CountFDs() - before + stats.Breakable
 	}
 	trace.Emit(cfg.Observer, trace.IncrementalCandidates{
 		BaseFDs:     stats.BaseFDs,
@@ -221,7 +200,10 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		DeleteSeeds: stats.DeleteSeeds,
 	})
 
-	result := w.tree.FDs().Minimize()
+	result := w.tree.FDs()
+	if stats.Generalized > 0 {
+		result = result.Minimize()
+	}
 	stats.FDs = result.Size()
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	stats.Duration = time.Since(start)
@@ -235,17 +217,17 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 	return result, stats, nil
 }
 
-// worker bundles the maintenance state: the cover under repair, a checker,
-// and a validity memo so no candidate is ever validated twice.
+// inductChunk is the number of agree sets the insert phase induces between
+// two cancellation checks.
+const inductChunk = 64
+
+// worker bundles the delete phase's state: the cover under repair, a
+// checker, and a validity memo so no candidate is ever validated twice.
 type worker struct {
-	ix    *pli.Index
 	ck    *validator.Checker
 	tree  *fdtree.Tree
 	memo  map[string]bool
 	stats *Stats
-	// vio is the delta's negative cover — the distinct agree sets of row
-	// pairs involving an inserted record. Set once before the insert phase.
-	vio []bitset.Set
 	// descended marks (lhs, rhs) pairs generalize already explored.
 	descended map[string]bool
 }
@@ -267,56 +249,24 @@ func (w *worker) valid(lhs bitset.Set, rhs int) bool {
 	return v
 }
 
-// validForInserts memoizes insert-restricted checks — the insert phase's
-// validity oracle, sound only for candidates valid on the parent's rows
-// (see insertBroken). Memo entries from full checks are reused: a full
-// verdict is exact for any candidate.
-func (w *worker) validForInserts(lhs bitset.Set, rhs int) bool {
-	k := fdKey(lhs, rhs)
-	if v, ok := w.memo[k]; ok {
-		return v
-	}
-	v := !insertBroken(w.ix, w.vio, lhs, rhs)
-	w.memo[k] = v
-	w.stats.Checks++
-	return v
-}
-
-// insertBroken reports whether a candidate that held on the parent's rows is
-// violated on the new snapshot, by consulting the delta's negative cover: a
-// violating pair must involve an inserted record and agrees on exactly some
-// vsets entry, so the candidate is broken iff some v has lhs ⊆ v and rhs ∉ v.
-func insertBroken(ix *pli.Index, vsets []bitset.Set, lhs bitset.Set, rhs int) bool {
-	if lhs.IsEmpty() {
-		// Pairs that agree on nothing never enter the negative cover, but
-		// every pair is a candidate violation of {}→rhs: it survives only if
-		// the rhs column is one cluster covering the whole relation.
-		p := ix.Plis[rhs]
-		return ix.NumRows > 1 && (len(p.Clusters) != 1 || len(p.Clusters[0]) != ix.NumRows)
-	}
-	for _, v := range vsets {
-		if lhs.IsSubsetOf(v) && !v.Test(rhs) {
-			return true
-		}
-	}
-	return false
-}
-
 // deltaViolations computes the delta's negative cover: the distinct agree
 // sets of every row pair that involves an inserted record (id >= from). Two
 // records agree on attribute a iff both sit in the same non-singleton PLI
-// cluster. Only pairs sharing at least one cluster are enumerated — a pair
-// agreeing on nothing has an empty agree set, which constrains no candidate
-// with a non-empty LHS (insertBroken handles the empty LHS separately).
+// cluster, so the pairs sharing a cluster are enumerated, and the empty
+// agree set is added when some inserted record shares no cluster with some
+// other record.
 func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 	seen := make(map[string]bool)
 	// visited stamps partner rows per inserted record so a pair sharing
-	// several clusters is materialized once.
+	// several clusters is counted and materialized once.
 	visited := make([]int, ix.NumRows)
 	var out []bitset.Set
+	disjoint := false
 	for r := from; r < ix.NumRows; r++ {
 		rec := ix.Row(r)
 		stamp := r + 1
+		visited[r] = stamp
+		partners := 0
 		for a := 0; a < ix.NumCols; a++ {
 			c := rec[a]
 			if c == pli.Singleton {
@@ -324,28 +274,40 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 			}
 			for _, s32 := range ix.Plis[a].Clusters[c] {
 				s := int(s32)
-				// Skip self-pairs, already-stamped partners, and inserted
-				// partners with a smaller id (that pair is enumerated when
-				// the partner is the outer record).
-				if s == r || (s >= from && s < r) || visited[s] == stamp {
+				if visited[s] == stamp {
 					continue
 				}
 				visited[s] = stamp
-				srec := ix.Row(s)
-				ag := bitset.New(ix.NumCols)
-				for b := 0; b < ix.NumCols; b++ {
-					if rec[b] != pli.Singleton && rec[b] == srec[b] {
-						ag.Set(b)
-					}
+				partners++
+				// An inserted partner with a smaller id was paired with r
+				// when it was the outer record.
+				if s >= from && s < r {
+					continue
 				}
+				ag := agreeSet(rec, ix.Row(s))
 				if k := ag.Key(); !seen[k] {
 					seen[k] = true
 					out = append(out, ag)
 				}
 			}
 		}
+		disjoint = disjoint || partners < ix.NumRows-1
+	}
+	if disjoint {
+		out = append(out, bitset.New(ix.NumCols))
 	}
 	return out
+}
+
+// agreeSet returns the attributes on which two compressed records agree.
+func agreeSet(rec, other []int32) bitset.Set {
+	ag := bitset.New(len(rec))
+	for b, c := range rec {
+		if c != pli.Singleton && c == other[b] {
+			ag.Set(b)
+		}
+	}
+	return ag
 }
 
 // generalize descends from the valid candidate lhs→rhs to its minimal valid
@@ -377,46 +339,6 @@ func (w *worker) generalize(lhs bitset.Set, rhs int) {
 	}
 }
 
-// checkBatch validates insert-phase candidates concurrently with the
-// insert-restricted oracle (a result slot per candidate makes every thread
-// count bit-for-bit identical) and memoizes the verdicts. stats.Checks
-// counts every performed check, whether batched here or run one-off.
-func (w *worker) checkBatch(cands []fd.FD, threads int) {
-	if len(cands) == 0 {
-		return
-	}
-	verdicts := make([]bool, len(cands))
-	if threads > len(cands) {
-		threads = len(cands)
-	}
-	if threads <= 1 {
-		for i, f := range cands {
-			verdicts[i] = !insertBroken(w.ix, w.vio, f.Lhs, f.Rhs)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					verdicts[i] = !insertBroken(w.ix, w.vio, cands[i].Lhs, cands[i].Rhs)
-				}
-			}()
-		}
-		for i := range cands {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	for i, f := range cands {
-		w.memo[fdKey(f.Lhs, f.Rhs)] = verdicts[i]
-	}
-	w.stats.Checks += len(cands)
-}
-
 // touchedSets returns the distinct touched-attribute sets of the given
 // compressed records, in first-occurrence order.
 func touchedSets(records [][]int32, m int) []bitset.Set {
@@ -435,24 +357,4 @@ func touchedSets(records [][]int32, m int) []bitset.Set {
 		}
 	}
 	return out
-}
-
-// insertedTouchedSets returns the distinct touched-attribute sets of the
-// snapshot's inserted records (ids [from, NumRows)).
-func insertedTouchedSets(ix *pli.Index, from, m int) []bitset.Set {
-	recs := make([][]int32, 0, ix.NumRows-from)
-	for r := from; r < ix.NumRows; r++ {
-		recs = append(recs, ix.Row(r))
-	}
-	return touchedSets(recs, m)
-}
-
-// anySuperset reports whether lhs is a subset of any of the touched sets.
-func anySuperset(touched []bitset.Set, lhs bitset.Set) bool {
-	for _, t := range touched {
-		if lhs.IsSubsetOf(t) {
-			return true
-		}
-	}
-	return false
 }

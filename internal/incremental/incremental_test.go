@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -205,5 +206,29 @@ func TestMaintainRejectsNonDelta(t *testing.T) {
 	}
 	if _, _, err := Maintain(context.Background(), ds, base, Config{}); err != ErrNotDelta {
 		t.Errorf("Maintain on a root snapshot: err = %v, want ErrNotDelta", err)
+	}
+}
+
+// TestMaintainHonorsCancellation: an insert-only batch under a cancelled
+// context stops before the induction and returns the context's error.
+func TestMaintainHonorsCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ds, err := dataset.Prepare(context.Background(), randomRel(rng, 20, 4), dataset.Options{Threads: 1})
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	base, _, err := core.DiscoverDataset(context.Background(), ds, core.Config{Threads: 1})
+	if err != nil {
+		t.Fatalf("base discovery: %v", err)
+	}
+	next, err := ds.Apply(context.Background(), dataset.Delta{Inserts: []relation.Row{{"v0", "v1", "v2", "v0"}}})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, _, err := Maintain(ctx, next, base, Config{})
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("Maintain under a cancelled context: got %v, err %v; want context.Canceled", got, err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package inductor implements HyFD's FD induction (§7, Alg. 3): it converts
-// the Sampler's FD-violations (the negative cover) into minimal FD
-// candidates by successive specialization of an FDTree (the positive
-// cover), following the Fdep idea with the paper's cardinality-descending
-// processing order.
+// FD-violations (a negative cover) into minimal FD candidates by successive
+// specialization of an FDTree (the positive cover), following the Fdep idea
+// with the paper's cardinality-descending processing order. Discovery feeds
+// it the Sampler's agree sets; incremental maintenance feeds it the agree
+// sets of an insert batch.
 package inductor
 
 import (
@@ -28,7 +29,14 @@ func New(numAttrs int) *Inductor {
 	empty := bitset.New(numAttrs)
 	all := empty.Flip()
 	t.AddRhss(empty, all)
-	return &Inductor{fds: t, lhs: bitset.New(numAttrs), cand: bitset.New(numAttrs)}
+	return Over(t)
+}
+
+// Over returns an Inductor that specializes t, a tree that already holds a
+// positive cover, such as a base cover under incremental maintenance.
+func Over(t *fdtree.Tree) *Inductor {
+	n := t.NumAttrs()
+	return &Inductor{fds: t, lhs: bitset.New(n), cand: bitset.New(n)}
 }
 
 // Tree returns the shared candidate FDTree.

@@ -151,11 +151,11 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		IncrementalSharedAttrs: r.Counter("hyfd_incremental_shared_attrs_total",
 			"Attributes whose cluster lists were structurally shared with the parent snapshot across all Apply calls."),
 		IncrementalBreakable: r.Counter("hyfd_incremental_breakable_total",
-			"Base-cover FDs the deltas' inserted records could have invalidated."),
+			"Base-cover FDs the deltas' inserted records broke."),
 		IncrementalChecks: r.Counter("hyfd_incremental_checks_total",
 			"Direct-refinement validations performed by incremental maintenance."),
 		IncrementalSpecialized: r.Counter("hyfd_incremental_specialized_total",
-			"FD candidates added while specializing broken FDs."),
+			"FDs induction added, net, while specializing broken FDs."),
 		IncrementalGeneralized: r.Counter("hyfd_incremental_generalized_total",
 			"FDs added by delete-driven re-generalization."),
 		IncrementalApplyTime: r.Histogram("hyfd_incremental_apply_duration_seconds",

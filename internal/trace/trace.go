@@ -194,14 +194,12 @@ type DeltaApplied struct {
 	Duration time.Duration
 }
 
-// IncrementalCandidates reports the breakable-candidate derivation of an
-// incremental maintenance run: how much of the base cover the delta could
-// actually affect.
+// IncrementalCandidates reports how much of the base cover an incremental
+// maintenance run's delta affected.
 type IncrementalCandidates struct {
 	// BaseFDs is the size of the maintained base cover.
 	BaseFDs int
-	// Breakable counts base FDs an inserted record could have invalidated
-	// (the insert's compressed record is non-singleton on the whole LHS).
+	// Breakable counts base FDs the inserted records broke.
 	Breakable int
 	// DeleteSeeds counts the distinct top candidates seeded from deleted
 	// records' touched attribute sets for re-generalization.
@@ -212,10 +210,11 @@ type IncrementalCandidates struct {
 type IncrementalDone struct {
 	// FDs is the size of the maintained minimal cover.
 	FDs int
-	// Checks counts direct-refinement validations performed — the work a
-	// full re-run would have multiplied many times over.
+	// Checks counts the delete phase's direct-refinement validations; the
+	// insert phase, which runs induction, performs none.
 	Checks int
-	// Specialized counts candidates added while descending from broken FDs.
+	// Specialized counts FDs induction added while repairing broken FDs,
+	// net of those it removed again.
 	Specialized int
 	// Generalized counts FDs added by delete-driven re-generalization.
 	Generalized int

@@ -145,11 +145,12 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 }
 
 // runIncremental applies the request's Delta to the prepared Dataset and
-// maintains the Base cover across the snapshot advance — re-validating only
-// the candidates the delta can break instead of re-running discovery. The
-// maintained Set (and the FD digest derived from it) is byte-identical to a
-// cold full run over the new snapshot, at every thread count; Result.Dataset
-// carries the new snapshot for the next increment.
+// maintains the Base cover across the snapshot advance instead of re-running
+// discovery: deletes re-generalize the cover around the removed records, and
+// inserts run through HyFD's induction. The maintained Set (and the FD
+// digest derived from it) is byte-identical to a cold full run over the new
+// snapshot, at every thread count; Result.Dataset carries the new snapshot
+// for the next increment.
 func runIncremental(ctx context.Context, req Request) (*Result, error) {
 	if req.Algorithm != "" {
 		return nil, fmt.Errorf("hyfd: %w %q (mode %q has a single built-in strategy; leave Algorithm empty)",
@@ -163,6 +164,10 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 	}
 	if req.Base == nil {
 		return nil, errors.New("hyfd: ModeIncremental needs Request.Base (the snapshot's exact FD cover)")
+	}
+	if req.Base.Universe() != req.Dataset.NumCols() {
+		return nil, fmt.Errorf("hyfd: ModeIncremental needs Request.Base over the Dataset's %d columns (got a cover over %d)",
+			req.Dataset.NumCols(), req.Base.Universe())
 	}
 	if req.Options.MaxLhsSize > 0 {
 		// A truncated base cover does not determine the truncated cover of
@@ -185,10 +190,7 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 		SharedAttrs: prov.SharedAttrs,
 		Duration:    snap.PreprocessingTime(),
 	})
-	set, istats, err := incremental.Maintain(ctx, snap, req.Base, incremental.Config{
-		Threads:  opts.Threads,
-		Observer: observer,
-	})
+	set, istats, err := incremental.Maintain(ctx, snap, req.Base, incremental.Config{Observer: observer})
 	if err != nil {
 		return nil, err
 	}
@@ -220,30 +222,24 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 		algorithm = AlgorithmHyFD
 	}
 	if algorithm == AlgorithmHyFD {
+		cfg := core.Config{
+			NullSemantics:       opts.NullSemantics,
+			EfficiencyThreshold: opts.EfficiencyThreshold,
+			Threads:             opts.Threads,
+			MaxLhsSize:          opts.MaxLhsSize,
+			MemoryBudgetBytes:   opts.MemoryBudgetBytes,
+			Observer:            opts.Observer,
+			Metrics:             opts.Metrics,
+		}
 		var (
 			set   *FDSet
 			stats *Stats
 			err   error
 		)
 		if req.Dataset != nil {
-			set, stats, err = core.DiscoverDataset(ctx, req.Dataset, core.Config{
-				EfficiencyThreshold: opts.EfficiencyThreshold,
-				Threads:             opts.Threads,
-				MaxLhsSize:          opts.MaxLhsSize,
-				MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-				Observer:            opts.Observer,
-				Metrics:             opts.Metrics,
-			})
+			set, stats, err = core.DiscoverDataset(ctx, req.Dataset, cfg)
 		} else {
-			set, stats, err = core.Discover(ctx, req.Relation, core.Config{
-				NullSemantics:       opts.NullSemantics,
-				EfficiencyThreshold: opts.EfficiencyThreshold,
-				Threads:             opts.Threads,
-				MaxLhsSize:          opts.MaxLhsSize,
-				MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-				Observer:            opts.Observer,
-				Metrics:             opts.Metrics,
-			})
+			set, stats, err = core.Discover(ctx, req.Relation, cfg)
 		}
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hyfd"
@@ -50,25 +51,35 @@ func TestRunRequestErrors(t *testing.T) {
 	}
 	delta := &hyfd.Delta{Inserts: []hyfd.Row{{"0", "0", "0"}}}
 	cover := &hyfd.FDSet{}
+	coverOver := func(cols int) *hyfd.FDSet {
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: syntheticRelation(10, cols, 2, 22)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Set
+	}
 	for _, tc := range []struct {
 		name string
 		req  hyfd.Request
-		is   error // nil: any error
+		is   error  // nil: any error
+		msg  string // "": any message
 	}{
-		{"no input", hyfd.Request{}, nil},
-		{"both inputs", hyfd.Request{Dataset: ds, Relation: rel}, nil},
-		{"unknown mode", hyfd.Request{Relation: rel, Mode: "nope"}, hyfd.ErrUnknownMode},
-		{"unknown algorithm", hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgo"}, hyfd.ErrUnknownAlgorithm},
-		{"algorithm in afd mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, Algorithm: hyfd.AlgorithmTane}, hyfd.ErrUnknownAlgorithm},
-		{"algorithm in ucc mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC, Algorithm: hyfd.AlgorithmTane}, hyfd.ErrUnknownAlgorithm},
-		{"algorithm in ranked mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, Algorithm: hyfd.AlgorithmHyFD}, hyfd.ErrUnknownAlgorithm},
-		{"algorithm in incremental mode", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Algorithm: hyfd.AlgorithmHyFD, Delta: delta, Base: cover}, hyfd.ErrUnknownAlgorithm},
-		{"negative TopK", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, TopK: -1}, nil},
-		{"negative MinScore", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, MinScore: -0.5}, nil},
-		{"incremental over a relation", hyfd.Request{Relation: rel, Mode: hyfd.ModeIncremental, Delta: delta, Base: cover}, nil},
-		{"incremental without delta", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Base: cover}, nil},
-		{"incremental without base", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta}, nil},
-		{"incremental with an LHS bound", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta, Base: cover, Options: hyfd.Options{MaxLhsSize: 1}}, nil},
+		{"no input", hyfd.Request{}, nil, ""},
+		{"both inputs", hyfd.Request{Dataset: ds, Relation: rel}, nil, ""},
+		{"unknown mode", hyfd.Request{Relation: rel, Mode: "nope"}, hyfd.ErrUnknownMode, ""},
+		{"unknown algorithm", hyfd.Request{Relation: rel, Algorithm: "NoSuchAlgo"}, hyfd.ErrUnknownAlgorithm, ""},
+		{"algorithm in afd mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeAFD, Algorithm: hyfd.AlgorithmTane}, hyfd.ErrUnknownAlgorithm, ""},
+		{"algorithm in ucc mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeUCC, Algorithm: hyfd.AlgorithmTane}, hyfd.ErrUnknownAlgorithm, ""},
+		{"algorithm in ranked mode", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, Algorithm: hyfd.AlgorithmHyFD}, hyfd.ErrUnknownAlgorithm, ""},
+		{"algorithm in incremental mode", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Algorithm: hyfd.AlgorithmHyFD, Delta: delta, Base: cover}, hyfd.ErrUnknownAlgorithm, ""},
+		{"negative TopK", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, TopK: -1}, nil, ""},
+		{"negative MinScore", hyfd.Request{Relation: rel, Mode: hyfd.ModeRanked, MinScore: -0.5}, nil, ""},
+		{"incremental over a relation", hyfd.Request{Relation: rel, Mode: hyfd.ModeIncremental, Delta: delta, Base: cover}, nil, "needs a prepared Dataset"},
+		{"incremental without delta", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Base: cover}, nil, "needs Request.Delta"},
+		{"incremental without base", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta}, nil, "needs Request.Base"},
+		{"incremental with an LHS bound", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta, Base: coverOver(3), Options: hyfd.Options{MaxLhsSize: 1}}, nil, "unbounded cover"},
+		{"incremental with a wider base", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta, Base: coverOver(5)}, nil, "over the Dataset's 3 columns (got a cover over 5)"},
+		{"incremental with a narrower base", hyfd.Request{Dataset: ds, Mode: hyfd.ModeIncremental, Delta: delta, Base: coverOver(2)}, nil, "over the Dataset's 3 columns (got a cover over 2)"},
 	} {
 		events := 0
 		tc.req.Options.Observer = hyfd.ObserverFunc(func(hyfd.Event) { events++ })
@@ -78,6 +89,9 @@ func TestRunRequestErrors(t *testing.T) {
 		}
 		if tc.is != nil && !errors.Is(err, tc.is) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.is)
+		}
+		if !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s: err = %v, want it to mention %q", tc.name, err, tc.msg)
 		}
 		if events != 0 {
 			t.Fatalf("%s: %d trace events before the error %v", tc.name, events, err)
