@@ -1,8 +1,10 @@
 GO ?= go
 
 # Flags for the bench-json smoke run: scaled far down so CI finishes in
-# seconds; override BENCH_JSON_FLAGS for a full-scale artifact run.
-BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100
+# seconds, and written to .bench_json/ so the committed reference artifacts
+# in the repo root stay untouched; override BENCH_JSON_FLAGS for a
+# full-scale artifact run.
+BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
 
 .PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor serve-smoke
 
@@ -62,8 +64,10 @@ bench-unit:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-json runs the benchmark suite and archives each experiment as a
-# machine-readable BENCH_<exp>.json artifact in the repo root.
+# machine-readable BENCH_<exp>.json artifact in .bench_json/ (the default
+# flags) or in the -json-dir of overriding flags (the repo root if none).
 bench-json:
+	mkdir -p .bench_json
 	$(GO) run ./cmd/bench $(BENCH_JSON_FLAGS)
 
 # fuzz-smoke runs the differential fuzzer (hyfd.Run vs the brute-force

@@ -41,12 +41,6 @@ type Provenance struct {
 	// snapshot: ids [InsertedFrom, NumRows) are the delta's inserts. Equal
 	// to NumRows when the delta inserted nothing.
 	InsertedFrom int
-	// DeletedRecords holds copies of the parent's PLI-compressed records
-	// for every deleted row, in ascending parent record order. Incremental
-	// maintenance reads them to derive which FD candidates a delete could
-	// have flipped valid (an attribute is "touched" by a deleted record
-	// exactly when its compressed value is not pli.Singleton).
-	DeletedRecords [][]int32
 	// SharedAttrs counts attributes whose cluster lists are structurally
 	// shared — the same backing slice — with the parent snapshot. Only
 	// insert-only deltas share clusters; any delete renumbers record ids
@@ -96,9 +90,6 @@ func (d *Dataset) Apply(ctx context.Context, delta Delta) (*Dataset, error) {
 		BaseVersion: d.version,
 		Inserts:     len(delta.Inserts),
 		Deletes:     len(deletedIDs),
-	}
-	for _, r := range deletedIDs {
-		prov.DeletedRecords = append(prov.DeletedRecords, append([]int32(nil), d.ix.Row(r)...))
 	}
 
 	var (

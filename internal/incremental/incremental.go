@@ -1,37 +1,27 @@
-// Package incremental maintains a minimal FD cover across dataset snapshots
-// without re-running full discovery, in the spirit of EAIFD (PAPERS.md,
-// arXiv 2601.16025): deletes re-generalize the cover around the removed
-// records, and inserts specialize it with the delta's negative cover through
-// HyFD's induction (§7, Alg. 3), the algorithm discovery runs on sampled
-// record pairs.
+// Package incremental maintains a minimal FD cover across dataset snapshots.
+// A batch with deletes re-runs HyFD's discovery on the rebuilt snapshot, and
+// an insert-only batch specializes the cover with the delta's negative cover
+// through HyFD's induction (§7, Alg. 3), the algorithm discovery runs on
+// sampled record pairs.
 //
-// Maintenance seeds an FDTree with the base cover, runs the delete phase,
-// then the insert phase, and extracts the tree.
+// # Deletes: rediscovery
 //
-// # Deletes: re-generalization
-//
-// Let T_r be the set of attributes in which record r's PLI-compressed value
-// is not a singleton. Two records can agree on attribute a only if both are
-// non-singleton in a, so every violating pair of an FD X→A agrees — is
-// non-singleton — on all of X. Deletes can only make X'→A newly valid if
-// every parent-violating pair of X'→A lost an endpoint, so some deleted
-// record r had X' ⊆ T_r (T_r computed on the parent's compressed records,
-// which Apply preserves in Provenance.DeletedRecords). The maximal such
-// candidate per (r, A) is T_r \ {A}; validity is upward-closed in the LHS, so
-// if that top candidate is invalid nothing below it flipped either. Where it
-// is valid, maintenance descends with full refinement checks to its minimal
-// valid generalizations and adds them to the tree.
+// Dataset.Apply already rebuilds every PLI of a snapshot with deletes, which
+// is HyFD's preprocessing (Alg. 1), so Maintain runs the rest of discovery on
+// it (core.DiscoverDataset): a batch with deletes, mixed batches included,
+// costs at most one warm discovery of the table.
 //
 // # Inserts: induction
 //
-// The insert phase hands the tree to an inductor (inductor.Over) and
-// induces the delta's negative cover into it: the distinct agree sets of
-// every row pair that involves an inserted record. The cover stays exact:
+// An insert-only batch hands an FDTree seeded with the base cover to an
+// inductor (inductor.Over) and induces the delta's negative cover into it:
+// the distinct agree sets of every row pair that involves an inserted
+// record. The cover stays exact:
 //
 //   - Before induction, every FD that is valid on the new snapshot has a
-//     generalization in the tree: the base cover is exact for the parent,
-//     and the delete phase added what the deletes made valid.
-//   - Every FD in the tree holds on the parent's surviving rows.
+//     generalization in the tree, because the base cover is exact for the
+//     parent.
+//   - Every FD in the tree holds on the parent's rows.
 //   - So every violation the inserts add comes from a pair that involves an
 //     inserted record, and that pair's agree set is in the delta's negative
 //     cover.
@@ -46,39 +36,37 @@
 // # Minimality
 //
 // An antichain is a set of FDs in which no LHS is a proper subset of another
-// LHS with the same RHS. Without delete-phase generalizations the tree
-// starts as the base cover's antichain and induction keeps it one, as
-// core.run argues for its all-pairs exit, so the extracted tree is already
-// the minimal cover. A generalization can leave base FDs above it in the
-// tree, so only then (Stats.Generalized > 0) does a final fd.Set.Minimize
-// run. The minimal cover is unique, so the maintained result is
-// byte-identical to a cold re-run.
+// LHS with the same RHS. The tree starts as the base cover's antichain and
+// induction keeps it one, as core.run argues for its all-pairs exit, so the
+// extracted tree is already the minimal cover. The minimal cover is unique,
+// so the maintained result is byte-identical to a cold re-run.
 package incremental
 
 import (
 	"context"
 	"errors"
 	"sort"
-	"strconv"
 	"time"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/core"
 	"hyfd/internal/dataset"
 	"hyfd/internal/fd"
 	"hyfd/internal/fdtree"
 	"hyfd/internal/inductor"
 	"hyfd/internal/pli"
 	"hyfd/internal/trace"
-	"hyfd/internal/validator"
 )
 
 // Config configures a maintenance run.
 type Config struct {
-	// Threads is ignored: maintenance runs sequentially. The field is kept
-	// for callers that still set it and will be removed.
+	// Threads is the worker count of a batch with deletes, which re-runs
+	// discovery; any value <= 0 inherits the snapshot's resolved count, as
+	// in a warm discovery run. Insert-only batches run sequentially.
 	Threads int
 	// Observer receives trace events (IncrementalCandidates,
-	// IncrementalDone); nil disables tracing.
+	// IncrementalDone); nil disables tracing. It does not receive the
+	// rediscovery's engine events.
 	Observer trace.Observer
 }
 
@@ -86,18 +74,16 @@ type Config struct {
 type Stats struct {
 	// BaseFDs is the size of the maintained base cover.
 	BaseFDs int
-	// Breakable counts base FDs the inserted records broke.
+	// Breakable counts base FDs the inserted records of an insert-only
+	// batch broke; a batch with deletes reports 0.
 	Breakable int
-	// DeleteSeeds counts distinct touched-attribute sets of deleted records.
-	DeleteSeeds int
-	// Checks counts the delete phase's direct-refinement validations; the
-	// insert phase performs none.
+	// Checks counts the refinement validations of a batch with deletes,
+	// the rediscovery's Stats.Validations; insert-only batches, which run
+	// induction, perform none.
 	Checks int
 	// Specialized counts FDs induction added while repairing broken FDs,
-	// net of those it removed again.
+	// net of those it removed again; a batch with deletes reports 0.
 	Specialized int
-	// Generalized counts FDs added by delete-driven re-generalization.
-	Generalized int
 	// FDs is the size of the maintained cover.
 	FDs int
 	// Duration is the wall-clock time of the maintenance run.
@@ -112,10 +98,6 @@ var ErrNotDelta = errors.New("incremental: snapshot has no delta provenance")
 // parent — to the minimal FD cover of the delta snapshot snap. The returned
 // set is freshly built; base is not mutated.
 func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Config) (*fd.Set, Stats, error) {
-	if ctx == nil {
-		//hyfdvet:allow ctxflow — documented nil-ctx defaulting at the public maintenance boundary
-		ctx = context.Background()
-	}
 	var stats Stats
 	prov := snap.Provenance()
 	if prov == nil {
@@ -126,84 +108,27 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 	}
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	start := time.Now()
-
-	ix := snap.Index()
-	m := ix.NumCols
-	w := &worker{
-		ck:    validator.NewChecker(ix),
-		tree:  fdtree.New(m),
-		memo:  make(map[string]bool),
-		stats: &stats,
-	}
-	baseFDs := base.All()
-	for _, f := range baseFDs {
-		w.tree.Add(f.Lhs, f.Rhs)
-	}
 	stats.BaseFDs = base.Size()
 
-	// Phase A — deletes: re-generalize where removed rows may have made the
-	// cover non-minimal (or made wholly absent FDs valid).
-	if len(prov.DeletedRecords) > 0 {
-		seeds := touchedSets(prov.DeletedRecords, m)
-		stats.DeleteSeeds = len(seeds)
-		for _, t := range seeds {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			for rhs := 0; rhs < m; rhs++ {
-				top := t
-				if t.Test(rhs) {
-					top = t.Without(rhs)
-				}
-				if w.valid(top, rhs) {
-					w.generalize(top, rhs)
-				}
-			}
-		}
-	}
-
-	// Phase B — inserts: induce the delta's negative cover into the tree.
-	// Update sorts each call's agree sets by the total order below, so
-	// sorting the whole cover first and feeding it in chunks processes it
-	// as one call would, with a cancellation check between chunks.
-	if prov.Inserts > 0 {
-		nonFds := deltaViolations(ix, prov.InsertedFrom)
-		sort.Slice(nonFds, func(i, j int) bool {
-			return bitset.CompareCardinalityDesc(nonFds[i], nonFds[j]) < 0
-		})
-		in := inductor.Over(w.tree)
-		before := w.tree.CountFDs()
-		for len(nonFds) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			n := len(nonFds)
-			if n > inductChunk {
-				n = inductChunk
-			}
-			in.Update(nonFds[:n])
-			nonFds = nonFds[n:]
-		}
-		if err := ctx.Err(); err != nil {
+	var result *fd.Set
+	if prov.Deletes > 0 {
+		set, cs, err := core.DiscoverDataset(ctx, snap, core.Config{Threads: cfg.Threads})
+		if err != nil {
 			return nil, stats, err
 		}
-		for _, f := range baseFDs {
-			if !w.tree.ContainsFd(f.Lhs, f.Rhs) {
-				stats.Breakable++
-			}
+		result, stats.Checks = set, int(cs.Validations)
+	} else {
+		tree, err := induceInserts(ctx, snap.Index(), prov.InsertedFrom, base, &stats)
+		if err != nil {
+			return nil, stats, err
 		}
-		stats.Specialized = w.tree.CountFDs() - before + stats.Breakable
+		result = tree.FDs()
 	}
 	trace.Emit(cfg.Observer, trace.IncrementalCandidates{
-		BaseFDs:     stats.BaseFDs,
-		Breakable:   stats.Breakable,
-		DeleteSeeds: stats.DeleteSeeds,
+		BaseFDs:   stats.BaseFDs,
+		Breakable: stats.Breakable,
 	})
 
-	result := w.tree.FDs()
-	if stats.Generalized > 0 {
-		result = result.Minimize()
-	}
 	stats.FDs = result.Size()
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	stats.Duration = time.Since(start)
@@ -211,7 +136,6 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		FDs:         stats.FDs,
 		Checks:      stats.Checks,
 		Specialized: stats.Specialized,
-		Generalized: stats.Generalized,
 		Duration:    stats.Duration,
 	})
 	return result, stats, nil
@@ -221,32 +145,45 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 // two cancellation checks.
 const inductChunk = 64
 
-// worker bundles the delete phase's state: the cover under repair, a
-// checker, and a validity memo so no candidate is ever validated twice.
-type worker struct {
-	ck    *validator.Checker
-	tree  *fdtree.Tree
-	memo  map[string]bool
-	stats *Stats
-	// descended marks (lhs, rhs) pairs generalize already explored.
-	descended map[string]bool
-}
-
-func fdKey(lhs bitset.Set, rhs int) string {
-	return lhs.Key() + "\x00" + strconv.Itoa(rhs)
-}
-
-// valid memoizes full direct-refinement checks — the delete phase's
-// validity oracle, where candidates may owe their validity to any row pair.
-func (w *worker) valid(lhs bitset.Set, rhs int) bool {
-	k := fdKey(lhs, rhs)
-	if v, ok := w.memo[k]; ok {
-		return v
+// induceInserts seeds an FDTree with the base cover and induces the
+// negative cover of the records inserted from id from on into it, recording
+// Breakable and Specialized. Update sorts each call's agree sets by the
+// total order below, so sorting the whole cover first and feeding it in
+// chunks processes it as one call would, with a cancellation check between
+// chunks.
+func induceInserts(ctx context.Context, ix *pli.Index, from int, base *fd.Set, stats *Stats) (*fdtree.Tree, error) {
+	tree := fdtree.New(ix.NumCols)
+	baseFDs := base.All()
+	for _, f := range baseFDs {
+		tree.Add(f.Lhs, f.Rhs)
 	}
-	v := w.ck.Refines(lhs, rhs)
-	w.memo[k] = v
-	w.stats.Checks++
-	return v
+	nonFds := deltaViolations(ix, from)
+	sort.Slice(nonFds, func(i, j int) bool {
+		return bitset.CompareCardinalityDesc(nonFds[i], nonFds[j]) < 0
+	})
+	in := inductor.Over(tree)
+	before := tree.CountFDs()
+	for len(nonFds) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		n := len(nonFds)
+		if n > inductChunk {
+			n = inductChunk
+		}
+		in.Update(nonFds[:n])
+		nonFds = nonFds[n:]
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, f := range baseFDs {
+		if !tree.ContainsFd(f.Lhs, f.Rhs) {
+			stats.Breakable++
+		}
+	}
+	stats.Specialized = tree.CountFDs() - before + stats.Breakable
+	return tree, nil
 }
 
 // deltaViolations computes the delta's negative cover: the distinct agree
@@ -308,53 +245,4 @@ func agreeSet(rec, other []int32) bitset.Set {
 		}
 	}
 	return ag
-}
-
-// generalize descends from the valid candidate lhs→rhs to its minimal valid
-// generalizations and adds them to the cover. Validity is upward-closed, so
-// recursing through every valid direct generalization reaches exactly the
-// minimal valid subsets.
-func (w *worker) generalize(lhs bitset.Set, rhs int) {
-	if w.descended == nil {
-		w.descended = make(map[string]bool)
-	}
-	k := fdKey(lhs, rhs)
-	if w.descended[k] {
-		return
-	}
-	w.descended[k] = true
-	anyValid := false
-	lhs.ForEach(func(b int) bool {
-		g := lhs.Without(b)
-		if w.valid(g, rhs) {
-			anyValid = true
-			w.generalize(g, rhs)
-		}
-		return true
-	})
-	if !anyValid && !w.tree.FindFdOrGeneral(lhs, rhs) {
-		if w.tree.Add(lhs, rhs) {
-			w.stats.Generalized++
-		}
-	}
-}
-
-// touchedSets returns the distinct touched-attribute sets of the given
-// compressed records, in first-occurrence order.
-func touchedSets(records [][]int32, m int) []bitset.Set {
-	var out []bitset.Set
-	seen := make(map[string]bool, len(records))
-	for _, rec := range records {
-		t := bitset.New(m)
-		for a, cid := range rec {
-			if cid != pli.Singleton {
-				t.Set(a)
-			}
-		}
-		if k := t.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
-	}
-	return out
 }

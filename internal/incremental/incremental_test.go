@@ -209,11 +209,13 @@ func TestMaintainRejectsNonDelta(t *testing.T) {
 	}
 }
 
-// TestMaintainHonorsCancellation: an insert-only batch under a cancelled
-// context stops before the induction and returns the context's error.
+// TestMaintainHonorsCancellation: under a cancelled context, an insert-only
+// batch stops before the induction and a delete batch stops in the
+// rediscovery; both return the context's error and no cover.
 func TestMaintainHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	ds, err := dataset.Prepare(context.Background(), randomRel(rng, 20, 4), dataset.Options{Threads: 1})
+	rel := randomRel(rng, 20, 4)
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -221,14 +223,24 @@ func TestMaintainHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("base discovery: %v", err)
 	}
-	next, err := ds.Apply(context.Background(), dataset.Delta{Inserts: []relation.Row{{"v0", "v1", "v2", "v0"}}})
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, _, err := Maintain(ctx, next, base, Config{})
-	if !errors.Is(err, context.Canceled) || got != nil {
-		t.Fatalf("Maintain under a cancelled context: got %v, err %v; want context.Canceled", got, err)
+	for _, tc := range []struct {
+		name  string
+		delta dataset.Delta
+	}{
+		{"insert", dataset.Delta{Inserts: []relation.Row{{"v0", "v1", "v2", "v0"}}}},
+		{"delete", dataset.Delta{Deletes: []relation.Row{append(relation.Row(nil), rel.Rows[0]...)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			next, err := ds.Apply(context.Background(), tc.delta)
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			got, _, err := Maintain(ctx, next, base, Config{})
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("Maintain under a cancelled context: got %v, err %v; want context.Canceled", got, err)
+			}
+		})
 	}
 }

@@ -64,7 +64,6 @@ type EngineMetrics struct {
 	IncrementalBreakable   *Counter   // hyfd_incremental_breakable_total
 	IncrementalChecks      *Counter   // hyfd_incremental_checks_total
 	IncrementalSpecialized *Counter   // hyfd_incremental_specialized_total
-	IncrementalGeneralized *Counter   // hyfd_incremental_generalized_total
 	IncrementalApplyTime   *Histogram // hyfd_incremental_apply_duration_seconds
 	IncrementalDuration    *Histogram // hyfd_incremental_duration_seconds
 
@@ -153,11 +152,9 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		IncrementalBreakable: r.Counter("hyfd_incremental_breakable_total",
 			"Base-cover FDs the deltas' inserted records broke."),
 		IncrementalChecks: r.Counter("hyfd_incremental_checks_total",
-			"Direct-refinement validations performed by incremental maintenance."),
+			"Refinement validations performed by incremental maintenance, in the rediscovery of batches with deletes."),
 		IncrementalSpecialized: r.Counter("hyfd_incremental_specialized_total",
 			"FDs induction added, net, while specializing broken FDs."),
-		IncrementalGeneralized: r.Counter("hyfd_incremental_generalized_total",
-			"FDs added by delete-driven re-generalization."),
 		IncrementalApplyTime: r.Histogram("hyfd_incremental_apply_duration_seconds",
 			"Wall-clock duration of each Dataset.Apply snapshot advance.", nil),
 		IncrementalDuration: r.Histogram("hyfd_incremental_duration_seconds",
@@ -238,7 +235,6 @@ func (m *EngineMetrics) Observer() trace.Observer {
 			m.IncrementalRuns.Inc()
 			m.IncrementalChecks.Add(int64(ev.Checks))
 			m.IncrementalSpecialized.Add(int64(ev.Specialized))
-			m.IncrementalGeneralized.Add(int64(ev.Generalized))
 			m.IncrementalDuration.Observe(ev.Duration.Seconds())
 			m.FDsDiscovered.Set(float64(ev.FDs))
 		}

@@ -199,25 +199,22 @@ type DeltaApplied struct {
 type IncrementalCandidates struct {
 	// BaseFDs is the size of the maintained base cover.
 	BaseFDs int
-	// Breakable counts base FDs the inserted records broke.
+	// Breakable counts base FDs the inserted records of an insert-only
+	// batch broke; a batch with deletes, which re-runs discovery, reports 0.
 	Breakable int
-	// DeleteSeeds counts the distinct top candidates seeded from deleted
-	// records' touched attribute sets for re-generalization.
-	DeleteSeeds int
 }
 
 // IncrementalDone reports completion of an incremental maintenance run.
 type IncrementalDone struct {
 	// FDs is the size of the maintained minimal cover.
 	FDs int
-	// Checks counts the delete phase's direct-refinement validations; the
-	// insert phase, which runs induction, performs none.
+	// Checks counts the refinement validations of a batch with deletes,
+	// which re-runs discovery; an insert-only batch, which runs induction,
+	// performs none.
 	Checks int
 	// Specialized counts FDs induction added while repairing broken FDs,
-	// net of those it removed again.
+	// net of those it removed again; a batch with deletes reports 0.
 	Specialized int
-	// Generalized counts FDs added by delete-driven re-generalization.
-	Generalized int
 	// Duration is the total wall-clock time of the maintenance run.
 	Duration time.Duration
 }

@@ -92,12 +92,10 @@ func (b *bridge) Observe(e trace.Event) {
 			Int("shared_attrs", ev.SharedAttrs))
 	case trace.IncrementalCandidates:
 		b.rec.Instant(SpanIncrCandidates, b.parent,
-			Int("base_fds", ev.BaseFDs), Int("breakable", ev.Breakable),
-			Int("delete_seeds", ev.DeleteSeeds))
+			Int("base_fds", ev.BaseFDs), Int("breakable", ev.Breakable))
 	case trace.IncrementalDone:
 		b.rec.Completed(SpanIncrDone, b.parent, ev.Duration,
 			Int("fds", ev.FDs), Int("checks", ev.Checks),
-			Int("specialized", ev.Specialized),
-			Int("generalized", ev.Generalized))
+			Int("specialized", ev.Specialized))
 	}
 }

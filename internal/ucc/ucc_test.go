@@ -22,16 +22,6 @@ func discoverRel(rel *relation.Relation, ns relation.NullSemantics, maxSize int)
 	return Discover(context.Background(), ds, maxSize)
 }
 
-// hybridRel prepares rel single-threaded under ns and runs DiscoverHybrid
-// over it.
-func hybridRel(rel *relation.Relation, ns relation.NullSemantics) ([]bitset.Set, error) {
-	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{NullSemantics: ns, Threads: 1})
-	if err != nil {
-		return nil, err
-	}
-	return DiscoverHybrid(ds)
-}
-
 func randomRelation(r *rand.Rand, rows, cols, domain int) *relation.Relation {
 	names := make([]string, cols)
 	for i := range names {
@@ -192,41 +182,16 @@ func TestQuickDiscoverMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestQuickHybridMatchesBottomUp(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rel := randomRelation(r, 1+r.Intn(40), 2+r.Intn(4), 1+r.Intn(5))
-		bottomUp, err := discoverRel(rel, relation.NullEqualsNull, 0)
-		if err != nil {
-			return false
-		}
-		hybrid, err := hybridRel(rel, relation.NullEqualsNull)
-		if err != nil {
-			return false
-		}
-		if len(bottomUp) != len(hybrid) {
-			return false
-		}
-		for i := range bottomUp {
-			if !bottomUp[i].Equal(hybrid[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHybridOnKeyedRelation(t *testing.T) {
+// TestDiscoverKeyedRelation checks a 50-row relation with a key column
+// against the brute-force oracle.
+func TestDiscoverKeyedRelation(t *testing.T) {
 	rel := relation.New("k", []string{"ID", "X", "Y", "Z"})
 	for i := 0; i < 50; i++ {
 		rel.AppendRow([]string{
 			strconv.Itoa(i), strconv.Itoa(i % 5), strconv.Itoa(i % 7), strconv.Itoa(i % 2),
 		})
 	}
-	got, err := hybridRel(rel, relation.NullEqualsNull)
+	got, err := discoverRel(rel, relation.NullEqualsNull, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

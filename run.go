@@ -145,10 +145,11 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 }
 
 // runIncremental applies the request's Delta to the prepared Dataset and
-// maintains the Base cover across the snapshot advance instead of re-running
-// discovery: deletes re-generalize the cover around the removed records, and
-// inserts run through HyFD's induction. The maintained Set (and the FD
-// digest derived from it) is byte-identical to a cold full run over the new
+// maintains the Base cover across the snapshot advance: a batch with deletes
+// re-runs HyFD on the rebuilt snapshot with Options.Threads workers, and an
+// insert-only batch induces the inserted records' agree sets into the Base
+// cover through HyFD's inductor. The maintained Set (and the FD digest
+// derived from it) is byte-identical to a cold full run over the new
 // snapshot, at every thread count; Result.Dataset carries the new snapshot
 // for the next increment.
 func runIncremental(ctx context.Context, req Request) (*Result, error) {
@@ -190,7 +191,7 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 		SharedAttrs: prov.SharedAttrs,
 		Duration:    snap.PreprocessingTime(),
 	})
-	set, istats, err := incremental.Maintain(ctx, snap, req.Base, incremental.Config{Observer: observer})
+	set, istats, err := incremental.Maintain(ctx, snap, req.Base, incremental.Config{Threads: opts.Threads, Observer: observer})
 	if err != nil {
 		return nil, err
 	}
@@ -213,6 +214,20 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 	return &Result{FDs: set.All(), Set: set, Dataset: snap, Stats: stats}, nil
 }
 
+// engineConfig maps the request options onto the HyFD engine's
+// configuration, for fd and ranked mode.
+func engineConfig(opts Options) core.Config {
+	return core.Config{
+		NullSemantics:       opts.NullSemantics,
+		EfficiencyThreshold: opts.EfficiencyThreshold,
+		Threads:             opts.Threads,
+		MaxLhsSize:          opts.MaxLhsSize,
+		MemoryBudgetBytes:   opts.MemoryBudgetBytes,
+		Observer:            opts.Observer,
+		Metrics:             opts.Metrics,
+	}
+}
+
 // runFD dispatches exact FD discovery: the HyFD engine or a named baseline,
 // cold (Relation) or warm (Dataset).
 func runFD(ctx context.Context, req Request) (*Result, error) {
@@ -222,15 +237,7 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 		algorithm = AlgorithmHyFD
 	}
 	if algorithm == AlgorithmHyFD {
-		cfg := core.Config{
-			NullSemantics:       opts.NullSemantics,
-			EfficiencyThreshold: opts.EfficiencyThreshold,
-			Threads:             opts.Threads,
-			MaxLhsSize:          opts.MaxLhsSize,
-			MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-			Observer:            opts.Observer,
-			Metrics:             opts.Metrics,
-		}
+		cfg := engineConfig(opts)
 		var (
 			set   *FDSet
 			stats *Stats
@@ -280,16 +287,7 @@ func runRanked(ctx context.Context, req Request) (*Result, error) {
 	if req.MinScore < 0 {
 		return nil, fmt.Errorf("hyfd: invalid MinScore %g: must be >= 0", req.MinScore)
 	}
-	opts := req.Options
-	cfg := core.Config{
-		NullSemantics:       opts.NullSemantics,
-		EfficiencyThreshold: opts.EfficiencyThreshold,
-		Threads:             opts.Threads,
-		MaxLhsSize:          opts.MaxLhsSize,
-		MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-		Observer:            opts.Observer,
-		Metrics:             opts.Metrics,
-	}
+	cfg := engineConfig(req.Options)
 	var (
 		ranked []RankedFD
 		stats  *Stats
