@@ -6,7 +6,7 @@ GO ?= go
 # full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -102,6 +102,14 @@ fuzz-smoke-validator:
 # unbounded universes.
 fuzz-smoke-inductor:
 	$(GO) test -fuzz=FuzzInductorDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/inductor
+
+# fuzz-smoke-sampler runs the sampler differential fuzzer: on fuzzed
+# relations (up to 8 columns and 255 rows, nulls under both semantics) every
+# counting-sorted cluster must equal the comparison-sort reference, and two
+# sampling rounds at 1, 2 and 3 threads must return the same observations in
+# the same order with the same comparison, window and all-pairs counts.
+fuzz-smoke-sampler:
+	$(GO) test -fuzz=FuzzSamplerDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sampler
 
 # serve-smoke is the end-to-end daemon exercise: build hyfdd, start it,
 # register a CSV, run one job per mode (fd/afd/ucc/ranked), POST a delta

@@ -7,7 +7,6 @@
 package sampler
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"runtime"
@@ -165,8 +164,9 @@ func (s *Sampler) AllPairs() bool { return s.allPairs }
 // n(n-1) + n pairs besides the suggestions.
 //
 // The context is checked between clusters and every cancelStride
-// comparisons inside them; a canceled run returns ctx.Err() promptly and
-// leaves the sampler in a consistent (but unfinished) state.
+// comparisons inside them, by each worker of a parallel window run too; a
+// canceled run returns ctx.Err() promptly and leaves the sampler in a
+// consistent (but unfinished) state.
 func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set, error) {
 	compsBefore := s.Comparisons
 	defer func() { s.inst.Comparisons.Add(s.Comparisons - compsBefore) }()
@@ -249,115 +249,170 @@ func (s *Sampler) compareAllPairs(ctx context.Context, newObs []bitset.Set) ([]b
 // sortClusters builds, for every attribute, a private copy of its clusters
 // with the records sorted by their cluster ids in neighboring attributes of
 // the distinctness order (Fig. 3(1)): the left neighbor has more clusters
-// (a promising key), ties fall back to the right neighbor. Distinct sort
-// keys per attribute give each record a different neighborhood in each of
-// its clusters. Attributes are independent, so with threads configured they
-// sort on a worker pool; each attribute's sortation is deterministic, so
-// the result is identical for every thread count. The context is checked
-// once per attribute.
+// (a promising key), ties fall back to the right neighbor, and then to the
+// record id. Distinct sort keys per attribute give each record a different
+// neighborhood in each of its clusters. Attributes are independent, so
+// they sort on a pool of up to threads workers, each with one scratch it
+// reuses across attributes; each attribute's sortation is deterministic,
+// so the result is identical for every thread count. The context is
+// checked once per attribute.
 func (s *Sampler) sortClusters(ctx context.Context) error {
 	s.sorted = make([][][]int32, s.ix.NumCols)
-	pos := s.ix.Rank()
-	sortAttr := func(attr int) {
-		p := s.ix.Plis[attr]
-		if s.unfocused {
+	if s.unfocused {
+		for attr, p := range s.ix.Plis {
 			s.sorted[attr] = p.Clusters
-			return
 		}
-		left, right := -1, -1
-		if i := pos[attr]; i > 0 {
-			left = s.ix.Order[i-1]
-		}
-		if i := pos[attr]; i+1 < s.ix.NumCols {
-			right = s.ix.Order[i+1]
-		}
-		// Sort each cluster on (left id, right id, record) keys gathered
-		// once per record, so comparisons read contiguous memory. The
-		// record id makes the order total, so any sort yields the same
-		// permutation. All sorted clusters share one backing array.
-		var keys []sortKey
-		flat := make([]int32, 0, p.Size())
-		clusters := make([][]int32, len(p.Clusters))
-		for ci, cluster := range p.Clusters {
-			keys = keys[:0]
-			for _, rec := range cluster {
-				k, row := sortKey{rec: rec}, s.ix.Row(int(rec))
-				if left >= 0 {
-					k.left = row[left]
-				}
-				if right >= 0 {
-					k.right = row[right]
-				}
-				keys = append(keys, k)
-			}
-			slices.SortFunc(keys, compareSortKeys)
-			start := len(flat)
-			for _, k := range keys {
-				flat = append(flat, k.rec)
-			}
-			clusters[ci] = flat[start:len(flat):len(flat)]
-		}
-		s.sorted[attr] = clusters
+		return nil
 	}
-	if s.threads > 1 && s.ix.NumCols > 1 {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		workers := s.threads
-		if workers > s.ix.NumCols {
-			workers = s.ix.NumCols
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for attr := range work {
-					if ctx.Err() != nil {
-						continue // drain the channel without working
-					}
-					sortAttr(attr)
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < min(s.threads, s.ix.NumCols); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc sortScratch
+			for attr := range work {
+				if ctx.Err() != nil {
+					continue // drain the channel without working
 				}
-			}()
-		}
-		for attr := 0; attr < s.ix.NumCols; attr++ {
-			work <- attr
-		}
-		close(work)
-		wg.Wait()
-		return ctx.Err()
+				s.sorted[attr] = sc.sortAttr(s.ix, attr)
+			}
+		}()
 	}
 	for attr := 0; attr < s.ix.NumCols; attr++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sortAttr(attr)
+		work <- attr
 	}
-	return nil
+	close(work)
+	wg.Wait()
+	return ctx.Err()
 }
 
-// sortKey is one cluster record with its cluster ids in the two neighbor
-// attributes of the sortation (0 where a neighbor does not exist).
-type sortKey struct{ left, right, rec int32 }
+// sortBatch bounds the records sortAttr sorts together: a batch takes
+// consecutive clusters while they fit, and a larger cluster forms a batch
+// of its own. The bound rises to the larger neighbor's cluster count, so
+// any two consecutive batches hold more records than the counts they clear
+// and clearing stays linear in the records sorted.
+const sortBatch = 32 << 10
 
-func compareSortKeys(x, y sortKey) int {
-	if c := cmp.Compare(x.left, y.left); c != 0 {
-		return c
+// sortTuple is one cluster record during sortation: rec is the record,
+// cluster the index of its cluster in the attribute's PLI, and key its
+// cluster ids in the left and right neighbors plus one, so that the
+// Singleton id -1 counts at index 0.
+type sortTuple struct {
+	rec, cluster int32
+	key          [2]int32
+}
+
+// sortScratch is the reusable memory of one sortation worker: two tuple
+// buffers the counting passes alternate between, and their count array.
+// They grow to the largest batch and neighbor cluster count met.
+type sortScratch struct {
+	a, b  []sortTuple
+	count []int32
+}
+
+// sortAttr returns the clusters of attr sorted on (left id, right id,
+// record), all sharing one backing array. Cluster ids are dense: a
+// record's id in attribute X lies in [-1, len(Plis[X].Clusters)). So the
+// sortation is an LSD radix sort with no comparisons: a stable counting
+// pass on the right neighbor's id, then one on the left's, then a scatter
+// into each record's own cluster, whose slots start at the prefix sums of
+// the cluster sizes. Every cluster enters in ascending record order and
+// every pass is stable, so ties on both neighbors keep ascending record
+// ids: each cluster comes out as exactly the permutation a comparison sort
+// on the full key gives. A neighbor that does not exist, or has no
+// clusters, keys every record alike, and its pass is skipped. Consecutive
+// clusters sort together in batches of up to sortBatch records.
+func (sc *sortScratch) sortAttr(ix *pli.Index, attr int) [][]int32 {
+	p := ix.Plis[attr]
+	// nb holds the left and right neighbors and ids their cluster counts;
+	// a missing neighbor counts none.
+	var nb, ids [2]int
+	pos := slices.Index(ix.Order, attr)
+	for k, i := range [2]int{pos - 1, pos + 1} {
+		if i >= 0 && i < ix.NumCols {
+			nb[k] = ix.Order[i]
+			ids[k] = len(ix.Plis[nb[k]].Clusters)
+		}
 	}
-	if c := cmp.Compare(x.right, y.right); c != 0 {
-		return c
+	batch := max(sortBatch, ids[0]+1, ids[1]+1)
+	if n := max(ids[0], ids[1]) + 1; len(sc.count) < n {
+		sc.count = make([]int32, n)
 	}
-	return cmp.Compare(x.rec, y.rec)
+	size := p.Size()
+	flat := make([]int32, size)
+	out := make([][]int32, len(p.Clusters))
+	start := 0
+	for ci, cluster := range p.Clusters {
+		out[ci] = flat[start : start : start+len(cluster)]
+		start += len(cluster)
+	}
+	for lo := 0; lo < len(p.Clusters); {
+		hi, n := lo+1, len(p.Clusters[lo])
+		for ; hi < len(p.Clusters) && n+len(p.Clusters[hi]) <= batch; hi++ {
+			n += len(p.Clusters[hi])
+		}
+		if len(sc.a) < n {
+			// Most batches fit the first allocation: it takes a whole
+			// batch, or the whole attribute when that is smaller.
+			c := max(n, min(batch, size))
+			sc.a, sc.b = make([]sortTuple, c), make([]sortTuple, c)
+		}
+		src, dst := sc.a[:0], sc.b[:n]
+		for ci := lo; ci < hi; ci++ {
+			for _, rec := range p.Clusters[ci] {
+				t, row := sortTuple{rec: rec, cluster: int32(ci)}, ix.Row(int(rec))
+				if ids[0] > 0 {
+					t.key[0] = row[nb[0]] + 1
+				}
+				if ids[1] > 0 {
+					t.key[1] = row[nb[1]] + 1
+				}
+				src = append(src, t)
+			}
+		}
+		for k := 1; k >= 0; k-- {
+			if ids[k] > 0 {
+				countPass(dst, src, sc.count[:ids[k]+1], k)
+				src, dst = dst, src
+			}
+		}
+		for _, t := range src {
+			out[t.cluster] = append(out[t.cluster], t.rec)
+		}
+		lo = hi
+	}
+	return out
+}
+
+// countPass stably reorders src into dst by key k, whose values lie in
+// [0, len(count)).
+func countPass(dst, src []sortTuple, count []int32, k int) {
+	clear(count)
+	for _, t := range src {
+		count[t.key[k]]++
+	}
+	sum := int32(0)
+	for i, c := range count {
+		count[i] = sum
+		sum += c
+	}
+	for _, t := range src {
+		dst[count[t.key[k]]] = t
+		count[t.key[k]]++
+	}
 }
 
 // runWindow compares every record to its (window-1)-distant successor in
 // each cluster of the attribute's sortation (Alg. 2 lines 27-35). With
-// threads configured, clusters are matched by a worker pool; the workers
-// build raw agree-sets and the merge deduplicates sequentially, keeping
-// the observation order deterministic.
+// threads configured, the comparisons split into one contiguous share per
+// worker (runWindowParallel), and the merge deduplicates sequentially,
+// keeping the observation order deterministic.
 func (s *Sampler) runWindow(ctx context.Context, e *efficiency, newObs *[]bitset.Set) error {
 	before := len(*newObs)
 	comps := int64(0)
 	clusters := s.sorted[e.attr]
-	if s.threads > 1 && len(clusters) > 1 {
+	if s.threads > 1 {
 		var err error
 		comps, err = s.runWindowParallel(ctx, e.window, clusters, newObs)
 		if err != nil {
@@ -392,74 +447,86 @@ func (s *Sampler) runWindow(ctx context.Context, e *efficiency, newObs *[]bitset
 	return nil
 }
 
-// runWindowParallel fans the clusters of one window run out over workers.
-// Each worker builds agree sets in one scratch set and keeps, per cluster,
-// a copy of only those that are not yet observed and that it has not kept
-// before in this window run; a worker takes clusters in ascending order, so
-// the first occurrence of every set survives. The sequential merge then walks the
-// clusters in order, keeping the observation order identical for every
-// thread count. Workers re-check the context before every cluster; on
-// cancellation the remaining work items drain without being processed and
-// the partial round is discarded by the caller.
+// runWindowParallel splits the window run's comparison sequence (cluster
+// by cluster, i ascending) into one contiguous share of nearly equal length
+// per thread; a cluster may straddle two shares. Each worker compares its
+// share in order, with its own agree-set scratch, and keeps a copy of the
+// first occurrence of every agree set that is not yet observed and that it
+// has not kept already. The sequential merge then walks the shares in
+// order: a set's first occurrence lies in the earliest share that meets
+// it, so the merge keeps that copy and the observation order is the
+// sequential loop's at every thread count. Workers check the context every
+// cancelStride comparisons; a canceled run discards every share.
 func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters [][]int32, newObs *[]bitset.Set) (int64, error) {
-	perCluster := make([][]bitset.Set, len(clusters))
-	var comps int64
-	var mu sync.Mutex
+	total := int64(0)
+	for _, cluster := range clusters {
+		total += int64(max(len(cluster)-window+1, 0))
+	}
+	shares := min(int64(s.threads), total)
+	kept := make([][]bitset.Set, shares)
 	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < s.threads; w++ {
+	ci, i := 0, 0 // where the next share starts: clusters[ci][i]
+	for w := int64(0); w < shares; w++ {
+		n := (w+1)*total/shares - w*total/shares
 		wg.Add(1)
-		go func() {
+		go func(w int64, ci, i int, n int64) {
 			defer wg.Done()
-			local := int64(0)
-			agree := bitset.New(s.ix.NumCols)
-			var key []byte
-			// met holds the keys this worker already kept; s.seen is only
-			// read here and written by the merge after wg.Wait.
-			met := make(map[string]struct{})
-			for ci := range work {
-				if ctx.Err() != nil {
-					continue // drain the channel without working
-				}
-				cluster := clusters[ci]
-				var sets []bitset.Set
-				for i := 0; i+window-1 < len(cluster); i++ {
-					s.agreeSet(agree, cluster[i], cluster[i+window-1])
-					local++
-					key = agree.AppendKey(key[:0])
-					if _, dup := s.seen[string(key)]; dup {
-						continue
-					}
-					if _, dup := met[string(key)]; dup {
-						continue
-					}
-					met[string(key)] = struct{}{}
-					sets = append(sets, agree.Clone())
-				}
-				perCluster[ci] = sets
+			kept[w] = s.compareShare(ctx, window, clusters, ci, i, n)
+		}(w, ci, i, n)
+		for n > 0 {
+			rest := int64(len(clusters[ci]) - window + 1 - i)
+			if n < rest {
+				i += int(n)
+				break
 			}
-			mu.Lock()
-			comps += local
-			mu.Unlock()
-		}()
+			n -= max(rest, 0)
+			ci, i = ci+1, 0
+		}
 	}
-	for ci := range clusters {
-		work <- ci
-	}
-	close(work)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	s.Comparisons += comps
-	for _, sets := range perCluster {
+	s.Comparisons += total
+	for _, sets := range kept {
 		for _, agree := range sets {
 			if s.markSeen(agree) {
 				*newObs = append(*newObs, agree)
 			}
 		}
 	}
-	return comps, nil
+	return total, nil
+}
+
+// compareShare makes the n comparisons of one window share that starts at
+// clusters[ci][i] and returns the copies it keeps (see runWindowParallel).
+// s.seen is only read here; the merge writes it after every worker ends.
+// A canceled share returns early, and the caller discards it.
+func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int32, ci, i int, n int64) []bitset.Set {
+	agree := bitset.New(s.ix.NumCols)
+	var key []byte
+	met := make(map[string]struct{})
+	var sets []bitset.Set
+	for done := int64(0); done < n; ci, i = ci+1, 0 {
+		cluster := clusters[ci]
+		for ; i+window-1 < len(cluster) && done < n; i++ {
+			if done%cancelStride == 0 && ctx.Err() != nil {
+				return nil
+			}
+			s.agreeSet(agree, cluster[i], cluster[i+window-1])
+			done++
+			key = agree.AppendKey(key[:0])
+			if _, dup := s.seen[string(key)]; dup {
+				continue
+			}
+			if _, dup := met[string(key)]; dup {
+				continue
+			}
+			met[string(key)] = struct{}{}
+			sets = append(sets, agree.Clone())
+		}
+	}
+	return sets
 }
 
 // agreeSet overwrites agree with the attributes on which records a and b

@@ -1,15 +1,18 @@
 package sampler
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/dataset"
 	"hyfd/internal/datasets"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
@@ -250,6 +253,40 @@ func (c errCtx) Err() error {
 	return nil
 }
 
+// countingCtx is a context whose Err counts its calls and returns nil.
+type countingCtx struct {
+	context.Context
+	calls *atomic.Int64
+}
+
+func (c countingCtx) Err() error {
+	c.calls.Add(1)
+	return nil
+}
+
+// TestWindowCancelStride: window runs check the context at least once per
+// cancelStride comparisons, inside clusters too, at every thread count. On
+// the 50,000-row table A has two clusters and B is a key, so the seeding
+// window over A makes all 49,998 comparisons of the round.
+func TestWindowCancelStride(t *testing.T) {
+	rows := make([][]string, 50000)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i % 2), strconv.Itoa(i)}
+	}
+	ix := buildIndex(rows, []string{"A", "B"})
+	for _, threads := range []int{1, 2} {
+		var calls atomic.Int64
+		s := New(ix, Config{Threads: threads})
+		if _, err := s.Run(countingCtx{context.Background(), &calls}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.Comparisons != 49998 || calls.Load() < s.Comparisons/cancelStride {
+			t.Fatalf("threads=%d: %d context checks for %d comparisons, want 49,998 comparisons and at least one check per %d",
+				threads, calls.Load(), s.Comparisons, cancelStride)
+		}
+	}
+}
+
 // TestAllPairsPass: on tables whose sampling reaches the n(n-1)/2 budget,
 // the sampler ends the round with a pass over every record pair. It reports
 // all pairs compared, stays within n(n-1) + n comparisons, returns exactly
@@ -352,7 +389,10 @@ func TestBudgetNotReached(t *testing.T) {
 // TestParallelSamplingMatchesSequential: every thread count yields the same
 // comparisons and the same observations in the same order, also over a
 // universe wider than one bitset word. The narrow table stops below the
-// budget; the wide one ends its round with the pass over all pairs.
+// budget; the wide one ends its round with the pass over all pairs. In the
+// skewed table one cluster of the first column holds most rows and the
+// rest are pairs, so shares straddle clusters unevenly; in the coarse
+// table every column has at most three clusters, fewer than the threads.
 func TestParallelSamplingMatchesSequential(t *testing.T) {
 	narrow := func(r *rand.Rand, i int) []string {
 		return []string{
@@ -368,15 +408,31 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 		row[69] = strconv.Itoa(i % 13)
 		return row
 	}
+	skewed := func(r *rand.Rand, i int) []string {
+		first := "big"
+		if i%5 == 0 {
+			first = strconv.Itoa(i / 10)
+		}
+		return []string{first, strconv.Itoa(r.Intn(4)), strconv.Itoa(r.Intn(3)), strconv.Itoa(i % 11)}
+	}
+	coarse := func(r *rand.Rand, i int) []string {
+		return []string{strconv.Itoa(i % 2), strconv.Itoa(i % 3), strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(2))}
+	}
 	for _, tc := range []struct {
 		name     string
+		rows     int
 		gen      func(*rand.Rand, int) []string
 		allPairs bool
-	}{{"narrow", narrow, false}, {"wide", wide, true}} {
+	}{
+		{"narrow", 120, narrow, false},
+		{"wide", 120, wide, true},
+		{"skewed", 1000, skewed, false},
+		{"coarse", 60, coarse, false},
+	} {
 		name := tc.name
 		r := rand.New(rand.NewSource(19))
 		var rows [][]string
-		for i := 0; i < 120; i++ {
+		for i := 0; i < tc.rows; i++ {
 			rows = append(rows, tc.gen(r, i))
 		}
 		cols := make([]string, len(rows[0]))
@@ -391,8 +447,8 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 		for _, threads := range []int{2, 8} {
 			par := New(buildIndex(rows, cols), Config{Threads: threads})
 			parObs := mustRun(t, par, nil)
-			if seq.AllPairs() != par.AllPairs() {
-				t.Fatalf("%s, %d threads: all pairs %v vs %v", name, threads, seq.AllPairs(), par.AllPairs())
+			if seq.AllPairs() != par.AllPairs() || seq.Windows != par.Windows {
+				t.Fatalf("%s, %d threads: all pairs %v vs %v, windows %d vs %d", name, threads, seq.AllPairs(), par.AllPairs(), seq.Windows, par.Windows)
 			}
 			if seq.Comparisons != par.Comparisons {
 				t.Fatalf("%s, %d threads: comparison counts differ: %d vs %d", name, threads, seq.Comparisons, par.Comparisons)
@@ -409,45 +465,128 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 	}
 }
 
+// referenceSortation is the comparison sort the counting passes replace:
+// every cluster of every attribute sorted on (left id, right id, record),
+// the cluster ids of the record in the attribute's neighbors in the
+// distinctness order, where a missing neighbor keys 0.
+func referenceSortation(ix *pli.Index) [][][]int32 {
+	pos := ix.Rank()
+	key := func(rec int32, i int) int32 {
+		if i < 0 || i >= ix.NumCols {
+			return 0
+		}
+		return ix.Row(int(rec))[ix.Order[i]]
+	}
+	sorted := make([][][]int32, ix.NumCols)
+	for attr, p := range ix.Plis {
+		left, right := pos[attr]-1, pos[attr]+1
+		for _, cluster := range p.Clusters {
+			c := slices.Clone(cluster)
+			slices.SortFunc(c, func(x, y int32) int {
+				return cmp.Or(cmp.Compare(key(x, left), key(y, left)), cmp.Compare(key(x, right), key(y, right)), cmp.Compare(x, y))
+			})
+			sorted[attr] = append(sorted[attr], c)
+		}
+	}
+	return sorted
+}
+
+// sortationDiff sorts the index's clusters at the given thread count and
+// describes the first cluster that differs from want, or returns "".
+func sortationDiff(ix *pli.Index, threads int, want [][][]int32) string {
+	s := New(ix, Config{Threads: threads})
+	if err := s.sortClusters(context.Background()); err != nil {
+		return err.Error()
+	}
+	for attr := range want {
+		if len(s.sorted[attr]) != len(want[attr]) {
+			return fmt.Sprintf("attr %d: %d clusters, want %d", attr, len(s.sorted[attr]), len(want[attr]))
+		}
+		for ci, c := range want[attr] {
+			if got := s.sorted[attr][ci]; !slices.Equal(got, c) {
+				return fmt.Sprintf("attr %d cluster %d: sorted %v, want %v", attr, ci, got, c)
+			}
+		}
+	}
+	return ""
+}
+
 // TestSortClustersNeighborOrder pins the focused sortation of Fig. 3(1):
-// every cluster is its PLI cluster stably sorted by the record's cluster id
-// in the left neighbor of the distinctness order, then the right one, at
-// every thread count. Tiny domains make ties on both neighbors common.
+// every cluster is its PLI cluster sorted by the record's cluster id in the
+// left neighbor of the distinctness order, then the right one, then the
+// record id, at every thread count. The inputs cover tiny domains (ties on
+// both neighbors are common), a key column as a neighbor (every id -1),
+// nulls under both semantics, a table with no neighbors, clusters larger
+// than one batch and batches that end inside runs of small clusters
+// (including a neighbor with more clusters than sortBatch), and an index
+// extended by an insert-only delta, whose clusters are no flat array.
 func TestSortClustersNeighborOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	var rows [][]string
-	for i := 0; i < 300; i++ {
-		rows = append(rows, []string{
+	table := func(n int, gen func(r *rand.Rand, i int) []string) *relation.Relation {
+		r := rand.New(rand.NewSource(23))
+		first := gen(r, 0)
+		cols := make([]string, len(first))
+		for j := range cols {
+			cols[j] = "c" + strconv.Itoa(j)
+		}
+		rel := relation.New("t", cols)
+		rel.AppendRow(first)
+		for i := 1; i < n; i++ {
+			rel.AppendRow(gen(r, i))
+		}
+		return rel
+	}
+	tiny := table(300, func(r *rand.Rand, i int) []string {
+		return []string{
 			strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(4)), strconv.Itoa(r.Intn(7)),
 			strconv.Itoa(r.Intn(20)), strconv.Itoa(r.Intn(2)),
-		})
-	}
-	ix := buildIndex(rows, []string{"A", "B", "C", "D", "E"})
-	pos := ix.Rank()
-	for _, threads := range []int{1, 2} {
-		s := New(ix, Config{Threads: threads})
-		if err := s.sortClusters(context.Background()); err != nil {
-			t.Fatal(err)
 		}
-		for attr, p := range ix.Plis {
-			key := func(rec int32, i int) int32 {
-				if i < 0 || i >= ix.NumCols {
-					return 0
-				}
-				return ix.Row(int(rec))[ix.Order[i]]
+	})
+	nulls := table(300, func(r *rand.Rand, i int) []string {
+		row := []string{strconv.Itoa(r.Intn(3)), strconv.Itoa(r.Intn(5)), strconv.Itoa(r.Intn(9))}
+		for j := range row {
+			if r.Intn(4) == 0 {
+				row[j] = relation.Null
 			}
-			for ci, cluster := range p.Clusters {
-				want := append([]int32(nil), cluster...)
-				sort.SliceStable(want, func(x, y int) bool {
-					lx, ly := key(want[x], pos[attr]-1), key(want[y], pos[attr]-1)
-					if lx != ly {
-						return lx < ly
-					}
-					return key(want[x], pos[attr]+1) < key(want[y], pos[attr]+1)
-				})
-				if got := s.sorted[attr][ci]; !slices.Equal(got, want) {
-					t.Fatalf("threads=%d attr %d cluster %d: sorted %v, want %v", threads, attr, ci, got, want)
-				}
+		}
+		return row
+	})
+	large := table(70000, func(r *rand.Rand, i int) []string {
+		return []string{strconv.Itoa(i / 2), strconv.Itoa(i % 2), strconv.Itoa(i % 1009), strconv.Itoa(r.Intn(50))}
+	})
+	base := table(400, func(r *rand.Rand, i int) []string {
+		return []string{strconv.Itoa(r.Intn(6)), strconv.Itoa(r.Intn(40)), strconv.Itoa(r.Intn(3))}
+	})
+	ds, err := dataset.Prepare(context.Background(), base, dataset.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts := table(90, func(r *rand.Rand, i int) []string {
+		return []string{strconv.Itoa(r.Intn(8)), strconv.Itoa(r.Intn(60)), strconv.Itoa(r.Intn(3))}
+	})
+	inserted, err := ds.Apply(context.Background(), dataset.Delta{Inserts: inserts.Rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ix   *pli.Index
+	}{
+		{"tiny domains", pli.NewIndex(tiny, relation.NullEqualsNull)},
+		{"key neighbor", pli.NewIndex(table(200, func(r *rand.Rand, i int) []string {
+			return []string{strconv.Itoa(i), strconv.Itoa(r.Intn(4)), strconv.Itoa(r.Intn(3))}
+		}), relation.NullEqualsNull)},
+		{"nulls equal", pli.NewIndex(nulls, relation.NullEqualsNull)},
+		{"nulls distinct", pli.NewIndex(nulls, relation.NullNotEqualsNull)},
+		{"one column", pli.NewIndex(table(100, func(r *rand.Rand, i int) []string {
+			return []string{strconv.Itoa(r.Intn(9))}
+		}), relation.NullEqualsNull)},
+		{"larger than a batch", pli.NewIndex(large, relation.NullEqualsNull)},
+		{"insert-only delta", inserted.Index()},
+	} {
+		want := referenceSortation(tc.ix)
+		for _, threads := range []int{1, 2, 8} {
+			if diff := sortationDiff(tc.ix, threads, want); diff != "" {
+				t.Fatalf("%s, threads=%d: %s", tc.name, threads, diff)
 			}
 		}
 	}
@@ -493,5 +632,19 @@ func BenchmarkSamplerRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New(ix, Config{Threads: 1})
 		s.Run(context.Background(), nil)
+	}
+}
+
+// BenchmarkSortClusters times the focused sortation of every attribute at
+// one thread, on a 100,000-row analog of the perfbench long table.
+func BenchmarkSortClusters(b *testing.B) {
+	rel := datasets.GenProfile(100000, 6, 7, 1, 0.5, 0.3, 0.02, 0, 500, 20000, 0)
+	ix := pli.NewIndex(rel, relation.NullEqualsNull)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := New(ix, Config{Threads: 1}).sortClusters(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -32,6 +32,8 @@ var (
 	ErrShuttingDown = errors.New("server shutting down")
 	// ErrBadRequest wraps malformed or invalid request payloads (400).
 	ErrBadRequest = errors.New("bad request")
+	// ErrTooLarge: the request body exceeds maxBodyBytes (413).
+	ErrTooLarge = errors.New("request body too large")
 	// ErrNoTrace: the job exists but has no flight recorder because the
 	// server runs with tracing disabled (404).
 	ErrNoTrace = errors.New("no trace")
@@ -58,6 +60,8 @@ func StatusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrDatasetExists), errors.Is(err, ErrDeltaConflict):
 		return http.StatusConflict
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrShuttingDown):

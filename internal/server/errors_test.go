@@ -29,6 +29,7 @@ func TestStatusForTable(t *testing.T) {
 		{"unknown dataset", ErrUnknownDataset, http.StatusNotFound},
 		{"unknown job", ErrUnknownJob, http.StatusNotFound},
 		{"dataset exists", ErrDatasetExists, http.StatusConflict},
+		{"too large", ErrTooLarge, http.StatusRequestEntityTooLarge},
 		{"queue full", ErrQueueFull, http.StatusTooManyRequests},
 		{"shutting down", ErrShuttingDown, http.StatusServiceUnavailable},
 		{"deadline exceeded", context.DeadlineExceeded, http.StatusGatewayTimeout},
@@ -59,7 +60,7 @@ func TestStatusForTable(t *testing.T) {
 func TestStatusForCoversAllSentinels(t *testing.T) {
 	sentinels := []error{
 		ErrUnknownDataset, ErrDatasetExists, ErrUnknownJob,
-		ErrQueueFull, ErrShuttingDown, ErrBadRequest,
+		ErrQueueFull, ErrShuttingDown, ErrBadRequest, ErrTooLarge,
 	}
 	for _, s := range sentinels {
 		if StatusFor(s) == http.StatusInternalServerError {

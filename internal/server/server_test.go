@@ -230,6 +230,42 @@ func TestDatasetValidation(t *testing.T) {
 	}
 }
 
+// repeatReader yields its byte forever.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBody413: a registration whose inline CSV runs past
+// maxBodyBytes answers 413 with the JSON error envelope, and the server
+// still registers a small dataset afterwards. The body is generated as it
+// is sent, never held in memory.
+func TestOversizedBody413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := io.MultiReader(
+		strings.NewReader(`{"name":"big","csv":"`),
+		io.LimitReader(repeatReader('a'), maxBodyBytes),
+		strings.NewReader(`"}`),
+	)
+	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("status %d, body not the JSON envelope: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Status != resp.StatusCode || !strings.Contains(env.Error, ErrTooLarge.Error()) {
+		t.Fatalf("status %d, envelope %+v; want 413 and %q", resp.StatusCode, env, ErrTooLarge)
+	}
+	registerCSV(t, ts, "small", "a,b\n1,2\n1,3\n")
+}
+
 func TestJobAllModes(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	registerCSV(t, ts, "t", tinyCSV)
