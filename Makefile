@@ -20,7 +20,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet, a gofmt check that fails on any file gofmt would
-# rewrite, and hyfdvet, the project's own static-analysis suite
+# rewrite, an architecture check that fails when the engine (internal/core
+# and everything it imports: sampler, validator, guardian, inductor, fdtree)
+# depends on internal/metrics, since the engine reports only through trace
+# events, and hyfdvet, the project's own static-analysis suite
 # (determinism, ctxflow, hooksafe, goroutine, bitsetalias, plus the
 # interprocedural tier: lockcheck, leakcheck, statusmap); any unsuppressed
 # finding fails the build, and -strict-allows additionally fails on
@@ -28,6 +31,9 @@ vet:
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+	@deps=$$($(GO) list -deps ./internal/core) || exit 1; \
+	if echo "$$deps" | grep -qx 'hyfd/internal/metrics'; then \
+		echo "internal/core depends on hyfd/internal/metrics; the engine must report only through trace events"; exit 1; fi
 	$(GO) run ./cmd/hyfdvet -strict-allows ./...
 
 # lint-json emits the same findings as one machine-readable document (CI

@@ -127,12 +127,12 @@ func main() {
 		MaxLhsSize:          *maxLhs,
 		MemoryBudgetBytes:   *memBudget << 20,
 	}
-	// Any observability flag arms the metrics registry: the HTTP endpoints
-	// and the JSON report read it directly, and -progress uses its counters
-	// to render cumulative rates. Setup precedes ingest so the ingest event
-	// below reaches the same sinks as the engine's own events.
+	// The HTTP endpoints and the JSON report read the metrics registry, so
+	// either flag arms one; -progress renders the event stream alone. Setup
+	// precedes ingest so the ingest event below reaches the same sinks as
+	// the engine's own events.
 	var reg *hyfd.MetricsRegistry
-	if *metricsAddr != "" || *statsJSON != "" || *progress {
+	if *metricsAddr != "" || *statsJSON != "" {
 		reg = hyfd.NewMetricsRegistry()
 		opts.Metrics = reg
 	}
@@ -141,9 +141,8 @@ func main() {
 		// exits instead of tearing the listener down mid-response.
 		defer serveMetrics(*metricsAddr, reg, logger)()
 	}
-	em := metrics.NewEngineMetrics(reg)
 	if *progress {
-		opts.Observer = progressObserver(os.Stderr, em, time.Now())
+		opts.Observer = progressObserver(os.Stderr, time.Now())
 	}
 
 	csvOpts := hyfd.CSVOptions{
@@ -161,7 +160,7 @@ func main() {
 		rel, err = hyfd.ReadCSVFile(path, csvOpts)
 	}
 	fatalIf(err)
-	if obs := hyfd.MultiObserver(em.Observer(), opts.Observer); obs != nil {
+	if obs := hyfd.MultiObserver(metrics.NewEngineMetrics(reg).Observer(), opts.Observer); obs != nil {
 		obs.Observe(hyfd.IngestDone{
 			Rows: rel.NumRows(), Cols: rel.NumCols(),
 			Threads: workers, Duration: time.Since(ingestStart),
@@ -398,20 +397,17 @@ func writeStatsJSON(path, dataset, algorithm string, result *hyfd.Result, prep t
 }
 
 // progressObserver renders the engine's trace events as human-readable
-// progress lines. With an EngineMetrics handle it appends cumulative
-// throughput rates (comparisons/s after sampling rounds, validations/s
-// after validation levels) read from the same counters the engine updates.
-func progressObserver(w *os.File, em *metrics.EngineMetrics, start time.Time) hyfd.Observer {
-	var comparisons, validations *metrics.Counter
-	if em != nil {
-		comparisons, validations = em.Comparisons, em.Validations
-	}
-	rate := func(c *metrics.Counter, unit string) string {
+// progress lines. Sampling rounds and validation levels end in cumulative
+// throughput rates since start: comparisons/s from the round's cumulative
+// count, validations/s from the levels' counts summed so far.
+func progressObserver(w *os.File, start time.Time) hyfd.Observer {
+	var validations int64
+	rate := func(count int64, unit string) string {
 		elapsed := time.Since(start).Seconds()
-		if c == nil || elapsed <= 0 {
+		if elapsed <= 0 {
 			return ""
 		}
-		return fmt.Sprintf(" (%s %s)", humanRate(float64(c.Value())/elapsed), unit)
+		return fmt.Sprintf(" (%s %s)", humanRate(float64(count)/elapsed), unit)
 	}
 	return hyfd.ObserverFunc(func(e hyfd.Event) {
 		switch ev := e.(type) {
@@ -428,10 +424,11 @@ func progressObserver(w *os.File, em *metrics.EngineMetrics, start time.Time) hy
 		case hyfd.SamplingRound:
 			fmt.Fprintf(w, "sampling round %d: %d new observations, %d comparisons (threshold %.4g) in %s, induction %s%s\n",
 				ev.Round, ev.NewObservations, ev.Comparisons, ev.Threshold,
-				ev.Duration.Round(time.Millisecond), ev.Induction.Round(time.Millisecond), rate(comparisons, "cmp/s"))
+				ev.Duration.Round(time.Millisecond), ev.Induction.Round(time.Millisecond), rate(ev.Comparisons, "cmp/s"))
 		case hyfd.PhaseSwitch:
 			fmt.Fprintf(w, "phase switch #%d: %s -> %s\n", ev.Switches, ev.From, ev.To)
 		case hyfd.ValidationLevel:
+			validations += int64(ev.Validations)
 			fmt.Fprintf(w, "validation level %d: %d candidates, %d valid, %d invalid in %s%s\n",
 				ev.Level, ev.Candidates, ev.Valid, ev.Invalid,
 				ev.Duration.Round(time.Millisecond), rate(validations, "val/s"))

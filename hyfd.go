@@ -134,8 +134,9 @@ type Options struct {
 	// Metrics, when non-nil, collects the run's quantitative telemetry
 	// (comparison/validation counters, phase durations, cluster-size and
 	// efficiency histograms, runtime gauges) into the registry's hyfd_*
-	// instrument families; see metrics.go. Leaving it nil keeps discovery
-	// completely unmetered.
+	// instrument families; see metrics.go. The registry is fed from the
+	// same events Observer receives, and sees each one first. Leaving it
+	// nil keeps discovery completely unmetered.
 	Metrics *MetricsRegistry
 }
 
@@ -226,8 +227,7 @@ func Prepare(ctx context.Context, rel *Relation, opts PrepareOptions) (*Dataset,
 	return core.Prepare(ctx, rel, core.Config{
 		NullSemantics: opts.NullSemantics,
 		Threads:       opts.Threads,
-		Observer:      opts.Observer,
-		Metrics:       opts.Metrics,
+		Observer:      runObserver(opts.Metrics, opts.Observer),
 	})
 }
 

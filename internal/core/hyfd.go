@@ -17,7 +17,6 @@ import (
 	"hyfd/internal/fdtree"
 	"hyfd/internal/guardian"
 	"hyfd/internal/inductor"
-	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
 	"hyfd/internal/sampler"
@@ -27,7 +26,9 @@ import (
 
 // Config parameterizes a HyFD run. The zero value selects the paper's
 // defaults: null=null semantics, 1 % efficiency thresholds for both phases,
-// single-threaded execution, unbounded results.
+// single-threaded execution, unbounded results. The engine reports only
+// through Observer: a caller that meters runs composes the metrics bridge
+// (metrics.EngineMetrics.Observer) into it, like any other observer.
 type Config struct {
 	// NullSemantics selects ⊥=⊥ (default) or ⊥≠⊥ comparisons.
 	NullSemantics relation.NullSemantics
@@ -51,15 +52,10 @@ type Config struct {
 	MemoryBudgetBytes int
 	// Observer, when non-nil, receives trace events as the run progresses:
 	// preprocessing, sampling rounds, phase switches, validation levels,
-	// Guardian interventions, and completion. Events arrive synchronously
-	// from the coordinating goroutine, in run order.
+	// Guardian interventions, ranked results, and completion. Events arrive
+	// synchronously from the coordinating goroutine, in run order, after
+	// the engine has folded them into the run's Stats.
 	Observer trace.Observer
-	// Metrics, when non-nil, receives the run's quantitative telemetry as
-	// hyfd_* instrument families: trace events are bridged through an
-	// EngineMetrics observer, and the sampler, validator, and guardian get
-	// direct (batched) hooks for the quantities events can't carry. A nil
-	// registry costs one nil-check per batched update site.
-	Metrics *metrics.Registry
 
 	// Ablation switches. These disable individual HyFD design decisions so
 	// the benchmark suite can quantify their contribution; none of them
@@ -126,23 +122,27 @@ type Stats struct {
 	TotalTime         time.Duration `json:"total_ns"`
 }
 
-// statsTimers is the engine's internal observer: it folds the duration
-// carried by each trace event back into the run's Stats, so the public
-// telemetry and any user observer are fed from the same event stream.
-type statsTimers struct{ stats *Stats }
+// statsObserver is the engine's internal observer: it folds the durations
+// and counts carried by the trace events back into the run's Stats, so the
+// public telemetry and every other observer are fed from the same event
+// stream.
+type statsObserver struct{ stats *Stats }
 
-func (t statsTimers) Observe(e trace.Event) {
+func (o statsObserver) Observe(e trace.Event) {
 	switch ev := e.(type) {
 	case trace.PreprocessingDone:
-		t.stats.PreprocessingTime = ev.Duration
+		o.stats.PreprocessingTime = ev.Duration
 	case trace.SamplingRound:
-		t.stats.SamplingTime += ev.Duration
-		t.stats.InductionTime += ev.Induction
-		t.stats.AllPairs = t.stats.AllPairs || ev.AllPairs
+		o.stats.SamplingTime += ev.Duration
+		o.stats.InductionTime += ev.Induction
+		o.stats.AllPairs = o.stats.AllPairs || ev.AllPairs
+		o.stats.Comparisons = ev.Comparisons
+		o.stats.Observations += ev.NewObservations
 	case trace.ValidationLevel:
-		t.stats.ValidationTime += ev.Duration
+		o.stats.ValidationTime += ev.Duration
+		o.stats.Validations += int64(ev.Validations)
 	case trace.Done:
-		t.stats.TotalTime = ev.Duration
+		o.stats.TotalTime = ev.Duration
 	}
 }
 
@@ -184,10 +184,9 @@ func DiscoverDataset(ctx context.Context, ds *dataset.Dataset, cfg Config) (*fd.
 // Prepare runs HyFD's preprocessing (Alg. 1: PLI construction + record
 // inversion) once over the relation and returns the immutable Dataset that
 // warm runs — DiscoverDataset here, and every converted baseline — consume.
-// Observers registered in cfg receive the same PLIBuilt (in attribute
-// order), cluster-size metrics, and PreprocessingDone events a cold Discover
-// would emit. Only cfg.NullSemantics, cfg.Threads, cfg.Observer, and
-// cfg.Metrics are consulted.
+// cfg.Observer receives the same PLIBuilt (in attribute order) and
+// PreprocessingDone events a cold Discover would emit. Only
+// cfg.NullSemantics, cfg.Threads, and cfg.Observer are consulted.
 func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.Dataset, error) {
 	if rel == nil {
 		return nil, errors.New("hyfd: nil relation")
@@ -199,9 +198,7 @@ func Prepare(ctx context.Context, rel *relation.Relation, cfg Config) (*dataset.
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	em := metrics.NewEngineMetrics(cfg.Metrics)
-	obs := trace.Multi(em.Observer(), cfg.Observer)
-	ds, err := prepare(ctx, rel, cfg.NullSemantics, threads, obs, em)
+	ds, err := prepare(ctx, rel, cfg.NullSemantics, threads, cfg.Observer)
 	if err != nil {
 		return nil, interrupted(err)
 	}
@@ -218,8 +215,9 @@ type buildStat struct {
 // The build fans attributes over the worker pool; per-attribute timings land
 // in builds via disjoint slot writes, and the trace events replay them in
 // attribute order afterwards so observers keep their single-goroutine,
-// deterministic-order contract.
-func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemantics, threads int, obs trace.Observer, em *metrics.EngineMetrics) (*dataset.Dataset, error) {
+// deterministic-order contract. Each PLIBuilt event views its attribute's
+// cluster sizes in the immutable PLI, without a copy.
+func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemantics, threads int, obs trace.Observer) (*dataset.Dataset, error) {
 	builds := make([]buildStat, rel.NumCols())
 	ds, err := dataset.Prepare(ctx, rel, dataset.Options{
 		NullSemantics: ns,
@@ -231,11 +229,12 @@ func prepare(ctx context.Context, rel *relation.Relation, ns relation.NullSemant
 	if err != nil {
 		return nil, err
 	}
+	plis := ds.Index().Plis
 	for attr, b := range builds {
-		trace.Emit(obs, trace.PLIBuilt{Attr: attr, Clusters: b.clusters, Duration: b.duration})
-	}
-	if em != nil {
-		ds.Index().ForEachClusterSize(func(size int) { em.PLIClusterSize.Observe(float64(size)) })
+		trace.Emit(obs, trace.PLIBuilt{
+			Attr: attr, Clusters: b.clusters, Duration: b.duration,
+			Sizes: trace.NewClusterSizes(plis[attr].Clusters),
+		})
 	}
 	trace.Emit(obs, trace.PreprocessingDone{
 		Rows: rel.NumRows(), Cols: rel.NumCols(), Threads: threads, Duration: ds.PreprocessingTime(),
@@ -250,7 +249,6 @@ type session struct {
 	threads int
 	stats   *Stats
 	obs     trace.Observer
-	em      *metrics.EngineMetrics
 	start   time.Time
 	// ix and ind are nil when the input has no columns: the result is then
 	// empty and the run emits no events.
@@ -286,8 +284,7 @@ func begin(ctx context.Context, rel *relation.Relation, ds *dataset.Dataset, cfg
 	if s.stats.Cols == 0 {
 		return s, nil
 	}
-	s.em = metrics.NewEngineMetrics(cfg.Metrics) // nil registry → nil, all hooks no-ops
-	s.obs = trace.Multi(statsTimers{s.stats}, s.em.Observer(), cfg.Observer)
+	s.obs = trace.Multi(statsObserver{s.stats}, cfg.Observer)
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	s.start = time.Now()
 	if err := ctx.Err(); err != nil {
@@ -297,7 +294,7 @@ func begin(ctx context.Context, rel *relation.Relation, ds *dataset.Dataset, cfg
 		// Preprocessor (Alg. 1). The relation was already validated above,
 		// so any error out of prepare is a context interruption.
 		var err error
-		if ds, err = prepare(ctx, rel, cfg.NullSemantics, s.threads, s.obs, s.em); err != nil {
+		if ds, err = prepare(ctx, rel, cfg.NullSemantics, s.threads, s.obs); err != nil {
 			return nil, interrupted(err)
 		}
 	} else {
@@ -336,15 +333,13 @@ func (s *session) cover(ctx context.Context) (*fd.Set, *Stats, error) {
 func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) bool) error {
 	cfg, stats, obs, tree := s.cfg, s.stats, s.obs, s.ind.Tree()
 	smp := sampler.New(s.ix, sampler.Config{
-		Threshold:   cfg.EfficiencyThreshold,
-		Threads:     s.threads,
-		Unfocused:   cfg.UnfocusedSampling,
-		Instruments: s.em.Sampler(),
+		Threshold: cfg.EfficiencyThreshold,
+		Threads:   s.threads,
+		Unfocused: cfg.UnfocusedSampling,
 	})
 	vopts := []validator.Option{
 		validator.WithThreads(s.threads),
 		validator.WithObserver(obs),
-		validator.WithInstruments(s.em.Validator()),
 		validator.WithLevelFunc(hook),
 	}
 	if cfg.EfficiencyThreshold > 0 {
@@ -355,9 +350,6 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 	}
 	val := validator.New(s.ix, tree, vopts...)
 	grd := guardian.New(tree, cfg.MemoryBudgetBytes)
-	if s.em != nil {
-		grd.SetFootprintGauge(s.em.FDTreeBytes)
-	}
 	// checkGuardian runs the Guardian and reports any new intervention.
 	checkGuardian := func() {
 		before := grd.Interventions
@@ -391,11 +383,13 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 			NewObservations: len(newObs),
 			Comparisons:     smp.Comparisons,
 			Windows:         smp.Windows,
+			Efficiencies:    smp.WindowEfficiencies(),
 			Threshold:       smp.Threshold(),
 			AllPairs:        smp.AllPairs(),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
-			Duration:  time.Since(roundStart),
-			Induction: induction,
+			Duration:       time.Since(roundStart),
+			Induction:      induction,
+			FootprintBytes: grd.Footprint(),
 		})
 		// Once the sampler has compared every record pair, the induced
 		// tree is final, in any round. Every agree set is then in the
@@ -447,9 +441,6 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 		})
 	}
 
-	stats.Comparisons = smp.Comparisons
-	stats.Validations = val.Validations
-	stats.Observations = smp.ObservationCount()
 	stats.MaxLhs = tree.MaxLhs()
 	if grd.Pruned {
 		stats.Complete = false

@@ -26,13 +26,19 @@ func structuredRelation(rows int) *relation.Relation {
 	return rel
 }
 
+// metered composes the metrics bridge of reg into a Config, as hyfd.Run
+// does for Options.Metrics: one bridge per run.
+func metered(reg *metrics.Registry) Config {
+	return Config{Observer: metrics.NewEngineMetrics(reg).Observer()}
+}
+
 // TestMetricsMatchStats cross-checks the metrics registry against the Stats
-// telemetry of the same run: both are fed from the engine, so the totals
-// must agree exactly.
+// telemetry of the same run: both are fed from the engine's event stream,
+// so the totals must agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
 	rel := structuredRelation(90)
 	reg := metrics.NewRegistry()
-	_, stats, err := Discover(context.Background(), rel, Config{Metrics: reg})
+	_, stats, err := Discover(context.Background(), rel, metered(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 
 	// A second run on the same registry accumulates.
-	if _, _, err := Discover(context.Background(), rel, Config{Metrics: reg}); err != nil {
+	if _, _, err := Discover(context.Background(), rel, metered(reg)); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := reg.Snapshot().Counter("hyfd_runs_total"); got != 2 {
@@ -93,11 +99,11 @@ func TestMetricsNilRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	metered, _, err := Discover(context.Background(), rel, Config{Metrics: reg})
+	got, _, err := Discover(context.Background(), rel, metered(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fds.Equal(metered) {
+	if !fds.Equal(got) {
 		t.Fatal("metering changed the discovered FD set")
 	}
 }

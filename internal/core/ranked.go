@@ -63,11 +63,8 @@ func (s *session) ranked(ctx context.Context, topK int, minScore float64) ([]ran
 			trace.Emit(s.obs, trace.RankedResult{
 				Rank: e.Rank, Score: e.Score,
 				Lhs: e.FD.Lhs.Indices(), Rhs: e.FD.Rhs,
-				Duration: elapsed,
+				TopK: topK, Duration: elapsed,
 			})
-			if s.em != nil && topK > 0 && e.Rank == topK {
-				s.em.RankedTimeToTopK.Observe(elapsed.Seconds())
-			}
 		}
 		return cont
 	}

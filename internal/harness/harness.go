@@ -79,9 +79,10 @@ type Spec struct {
 	// the cut bound proves the prefix stable, so Seconds measures
 	// time-to-top-k rather than time-to-complete-cover.
 	TopK int `json:"top_k,omitempty"`
-	// Metrics attaches a metrics registry to HyFD runs and embeds its
-	// snapshot in the result (see Result.Metrics). Off by default so the
-	// perf-criterion paths (bench_test.go) stay unmetered.
+	// Metrics meters HyFD runs: the run's observer is the metrics bridge of
+	// a fresh registry, whose snapshot the result embeds (see
+	// Result.Metrics). Off by default so the perf-criterion paths
+	// (bench_test.go) stay unmetered.
 	Metrics bool `json:"metrics,omitempty"`
 	// PrepOnly measures only the preprocessing stage (PLI construction and
 	// record inversion at the spec's thread count) instead of a full
@@ -306,7 +307,7 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 			Threads:             threads,
 			EfficiencyThreshold: spec.Threshold,
 			MaxLhsSize:          spec.MaxLhs,
-			Metrics:             reg,
+			Observer:            metrics.NewEngineMetrics(reg).Observer(),
 		}
 		if spec.TopK > 0 {
 			var (

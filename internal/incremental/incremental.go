@@ -64,9 +64,8 @@ type Config struct {
 	// discovery; any value <= 0 inherits the snapshot's resolved count, as
 	// in a warm discovery run. Insert-only batches run sequentially.
 	Threads int
-	// Observer receives trace events (IncrementalCandidates,
-	// IncrementalDone); nil disables tracing. It does not receive the
-	// rediscovery's engine events.
+	// Observer receives the closing IncrementalDone event; nil disables
+	// tracing. It does not receive the rediscovery's engine events.
 	Observer trace.Observer
 }
 
@@ -124,15 +123,12 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 		}
 		result = tree.FDs()
 	}
-	trace.Emit(cfg.Observer, trace.IncrementalCandidates{
-		BaseFDs:   stats.BaseFDs,
-		Breakable: stats.Breakable,
-	})
-
 	stats.FDs = result.Size()
 	//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 	stats.Duration = time.Since(start)
 	trace.Emit(cfg.Observer, trace.IncrementalDone{
+		BaseFDs:     stats.BaseFDs,
+		Breakable:   stats.Breakable,
 		FDs:         stats.FDs,
 		Checks:      stats.Checks,
 		Specialized: stats.Specialized,

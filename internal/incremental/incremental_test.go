@@ -149,8 +149,8 @@ func TestMaintainThreadCountInvariance(t *testing.T) {
 	}
 }
 
-// TestMaintainEmitsEvents checks the observability contract: candidates and
-// completion events fire with plausible payloads.
+// TestMaintainEmitsEvents checks the observability contract: the completion
+// event fires with the base cover's size and the run's counts.
 func TestMaintainEmitsEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rel := randomRel(rng, 20, 4)
@@ -169,13 +169,9 @@ func TestMaintainEmitsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	var cands *trace.IncrementalCandidates
 	var done *trace.IncrementalDone
 	obs := trace.ObserverFunc(func(e trace.Event) {
-		switch ev := e.(type) {
-		case trace.IncrementalCandidates:
-			cands = &ev
-		case trace.IncrementalDone:
+		if ev, ok := e.(trace.IncrementalDone); ok {
 			done = &ev
 		}
 	})
@@ -183,11 +179,11 @@ func TestMaintainEmitsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Maintain: %v", err)
 	}
-	if cands == nil || done == nil {
-		t.Fatal("expected IncrementalCandidates and IncrementalDone events")
+	if done == nil {
+		t.Fatal("expected an IncrementalDone event")
 	}
-	if cands.BaseFDs != base.Size() {
-		t.Errorf("event BaseFDs = %d, want %d", cands.BaseFDs, base.Size())
+	if done.BaseFDs != base.Size() || done.Breakable != stats.Breakable {
+		t.Errorf("event BaseFDs = %d, Breakable = %d, want %d, %d", done.BaseFDs, done.Breakable, base.Size(), stats.Breakable)
 	}
 	if done.FDs != got.Size() || done.Checks != stats.Checks {
 		t.Errorf("done event %+v inconsistent with stats %+v", done, stats)

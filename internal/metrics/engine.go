@@ -1,25 +1,23 @@
 package metrics
 
 import (
-	"runtime"
+	rtmetrics "runtime/metrics"
 
 	"hyfd/internal/trace"
 )
 
-// EngineMetrics bundles every instrument the discovery engine maintains,
-// registered under the stable hyfd_* names below. Construction is
+// EngineMetrics bundles every instrument the discovery engine's telemetry
+// fills, registered under the stable hyfd_* names below. Construction is
 // idempotent per Registry — NewEngineMetrics on the same registry returns
 // handles to the same underlying instruments, so repeated runs accumulate
-// and external consumers (CLI progress rendering, tests) can obtain the
-// exact handles the engine updates.
+// and tests can read the exact handles the bridge updates.
 //
-// Two feeds fill these instruments: the Observer bridge aggregates the
-// engine's trace-event stream (round/level durations, candidate verdicts,
-// phase switches, Guardian interventions, run completion, plus Go runtime
-// gauges sampled on each event), and the Sampler/Validator/Guardian hook
-// structs carry direct instrumentation for quantities the events are too
-// coarse to capture (per-window efficiency, batched comparison and
-// validation counts, live FDTree footprint).
+// One feed fills these instruments: the Observer bridge, which aggregates
+// the engine's trace-event stream. The events carry every quantity the
+// instruments need, batched per round or per level (comparison, window and
+// validation counts, window efficiencies, the FDTree footprint, cluster
+// sizes), and the bridge samples the Go runtime gauges on each event. The
+// engine itself never imports this package.
 type EngineMetrics struct {
 	// Phase 0: ingest and preprocessing.
 	IngestedRows     *Counter   // hyfd_ingest_rows_total
@@ -79,8 +77,8 @@ type EngineMetrics struct {
 }
 
 // NewEngineMetrics registers (or re-resolves) the engine's instrument set
-// on the registry. A nil registry returns nil, whose Observer and hook
-// accessors all degrade to no-ops — the unmetered fast path.
+// on the registry. A nil registry returns nil, whose Observer is nil — the
+// unmetered fast path.
 func NewEngineMetrics(r *Registry) *EngineMetrics {
 	if r == nil {
 		return nil
@@ -176,13 +174,27 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 	}
 }
 
-// Observer bridges the engine's trace-event stream into the instruments.
-// It is invoked synchronously from the coordinating goroutine (see
-// internal/trace) and additionally samples the Go runtime gauges on each
-// event. A nil receiver yields a nil Observer, which trace.Multi skips.
+// Observer bridges one trace-event stream into the instruments. It is
+// invoked synchronously from the engine's coordinating goroutine (see
+// internal/trace) and samples the Go runtime gauges on each event. A nil
+// receiver yields a nil Observer, which trace.Multi skips.
+//
+// SamplingRound reports cumulative comparison and window counts, which the
+// observer turns into increments against the stream's previous round
+// (every run starts again at round 1). An Observer therefore serves one
+// stream at a time: build one per run, and never share one between
+// concurrent runs. The instruments themselves may be shared freely.
 func (m *EngineMetrics) Observer() trace.Observer {
 	if m == nil {
 		return nil
+	}
+	// comparisons and windows are the cumulative counts of the stream's
+	// latest SamplingRound. samples is the stream's own runtime/metrics
+	// buffer, so concurrent runs that share m never share it.
+	var comparisons, windows int64
+	samples := make([]rtmetrics.Sample, len(runtimeMetrics))
+	for i, name := range runtimeMetrics {
+		samples[i].Name = name
 	}
 	return trace.ObserverFunc(func(e trace.Event) {
 		switch ev := e.(type) {
@@ -192,6 +204,9 @@ func (m *EngineMetrics) Observer() trace.Observer {
 		case trace.PLIBuilt:
 			m.PLIsBuilt.Inc()
 			m.PLIBuildDuration.Observe(ev.Duration.Seconds())
+			for i := 0; i < ev.Sizes.Len(); i++ {
+				m.PLIClusterSize.Observe(float64(ev.Sizes.At(i)))
+			}
 		case trace.PreprocessingDone:
 			if ev.Warm {
 				// A reused Dataset did no preprocessing work of its own;
@@ -201,9 +216,19 @@ func (m *EngineMetrics) Observer() trace.Observer {
 				m.PreprocessingDuration.Observe(ev.Duration.Seconds())
 			}
 		case trace.SamplingRound:
+			if ev.Round == 1 {
+				comparisons, windows = 0, 0
+			}
 			m.SamplingRounds.Inc()
 			m.SamplingRoundDuration.Observe(ev.Duration.Seconds())
 			m.NewViolations.Add(int64(ev.NewObservations))
+			m.Comparisons.Add(ev.Comparisons - comparisons)
+			m.SamplingWindows.Add(ev.Windows - windows)
+			comparisons, windows = ev.Comparisons, ev.Windows
+			for _, eff := range ev.Efficiencies {
+				m.SamplingWindowEfficiency.Observe(eff)
+			}
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.PhaseSwitch:
 			if ev.From == trace.PhaseValidation {
 				m.PhaseSwitches.Inc()
@@ -213,12 +238,19 @@ func (m *EngineMetrics) Observer() trace.Observer {
 			m.ValidationLevelDuration.Observe(ev.Duration.Seconds())
 			m.ValidCandidates.Add(int64(ev.Valid))
 			m.InvalidCandidates.Add(int64(ev.Invalid))
+			m.Validations.Add(int64(ev.Validations))
+			m.Suggestions.Add(int64(ev.Suggestions))
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.GuardianPrune:
 			m.GuardianInterventions.Inc()
+			m.FDTreeBytes.Set(float64(ev.FootprintBytes))
 		case trace.RankedResult:
 			m.RankedEmitted.Inc()
 			if ev.Rank == 1 {
 				m.RankedTimeToFirst.Observe(ev.Duration.Seconds())
+			}
+			if ev.TopK > 0 && ev.Rank == ev.TopK {
+				m.RankedTimeToTopK.Observe(ev.Duration.Seconds())
 			}
 		case trace.Done:
 			m.Runs.Inc()
@@ -229,71 +261,40 @@ func (m *EngineMetrics) Observer() trace.Observer {
 			m.IncrementalDeleteRows.Add(int64(ev.Deletes))
 			m.IncrementalSharedAttrs.Add(int64(ev.SharedAttrs))
 			m.IncrementalApplyTime.Observe(ev.Duration.Seconds())
-		case trace.IncrementalCandidates:
-			m.IncrementalBreakable.Add(int64(ev.Breakable))
 		case trace.IncrementalDone:
 			m.IncrementalRuns.Inc()
+			m.IncrementalBreakable.Add(int64(ev.Breakable))
 			m.IncrementalChecks.Add(int64(ev.Checks))
 			m.IncrementalSpecialized.Add(int64(ev.Specialized))
 			m.IncrementalDuration.Observe(ev.Duration.Seconds())
 			m.FDsDiscovered.Set(float64(ev.FDs))
 		}
-		m.sampleRuntime()
+		m.sampleRuntime(samples)
 	})
 }
 
-// sampleRuntime refreshes the Go runtime gauges. Events are coarse-grained
-// (one per round or level), so the ReadMemStats cost stays negligible
-// relative to the work between events.
-func (m *EngineMetrics) sampleRuntime() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m.HeapInuse.Set(float64(ms.HeapInuse))
-	m.GCCycles.Set(float64(ms.NumGC))
-	m.Goroutines.Set(float64(runtime.NumGoroutine()))
+// runtimeMetrics are the runtime/metrics the Go runtime gauges read: heap
+// object bytes plus unused heap bytes make MemStats.HeapInuse, and the GC
+// cycle and goroutine counts are MemStats.NumGC and runtime.NumGoroutine.
+// Unlike runtime.ReadMemStats, reading them does not stop the world.
+var runtimeMetrics = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/gc/cycles/total:gc-cycles",
+	"/sched/goroutines:goroutines",
 }
 
-// SamplerInstruments is the Sampler's direct-instrumentation hook. The
-// zero value is a no-op: every field is a nil-safe instrument.
-type SamplerInstruments struct {
-	// Comparisons receives the sampler's comparison count, batched once
-	// per round so the per-comparison hot path stays untouched.
-	Comparisons *Counter
-	// Windows counts cluster-window runs.
-	Windows *Counter
-	// WindowEfficiency records new-violations-per-comparison of each
-	// window run — the quantity the sampler's priority queue ranks on.
-	WindowEfficiency *Histogram
-}
-
-// Sampler returns the sampler's hook set.
-func (m *EngineMetrics) Sampler() SamplerInstruments {
-	if m == nil {
-		return SamplerInstruments{}
+// sampleRuntime refreshes the Go runtime gauges through samples, a buffer
+// named after runtimeMetrics.
+func (m *EngineMetrics) sampleRuntime(samples []rtmetrics.Sample) {
+	rtmetrics.Read(samples)
+	value := func(i int) float64 {
+		if samples[i].Value.Kind() != rtmetrics.KindUint64 {
+			return 0 // not supported by this Go release
+		}
+		return float64(samples[i].Value.Uint64())
 	}
-	return SamplerInstruments{
-		Comparisons:      m.Comparisons,
-		Windows:          m.SamplingWindows,
-		WindowEfficiency: m.SamplingWindowEfficiency,
-	}
-}
-
-// ValidatorInstruments is the Validator's direct-instrumentation hook. The
-// zero value is a no-op.
-type ValidatorInstruments struct {
-	// Validations receives node-validation counts, batched once per level
-	// (before the level's trace event fires, so observers reading the
-	// counter on the event see it current).
-	Validations *Counter
-	// Suggestions receives the count of violating record pairs collected
-	// per level.
-	Suggestions *Counter
-}
-
-// Validator returns the validator's hook set.
-func (m *EngineMetrics) Validator() ValidatorInstruments {
-	if m == nil {
-		return ValidatorInstruments{}
-	}
-	return ValidatorInstruments{Validations: m.Validations, Suggestions: m.Suggestions}
+	m.HeapInuse.Set(value(0) + value(1))
+	m.GCCycles.Set(value(2))
+	m.Goroutines.Set(value(3))
 }

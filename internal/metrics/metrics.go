@@ -1,17 +1,19 @@
 // Package metrics is the engine's aggregation layer: a stdlib-only,
 // allocation-light metrics registry in the Prometheus data model. Where
-// internal/trace carries ephemeral per-step events, this package folds them
-// (plus direct instrumentation from the engine's hot paths) into queryable
-// instruments — atomic counters, gauges, and fixed-bucket histograms with
-// quantile estimation — grouped into optionally labeled families by a
-// Registry that can render itself as Prometheus exposition text or as a
-// stable JSON Snapshot.
+// internal/trace carries ephemeral per-round and per-level events, this
+// package folds them into queryable instruments — atomic counters, gauges,
+// and fixed-bucket histograms with quantile estimation — grouped into
+// optionally labeled families by a Registry that can render itself as
+// Prometheus exposition text or as a stable JSON Snapshot. The event stream
+// is its only input from the engine: EngineMetrics.Observer joins the
+// stream like any other observer, and the engine never imports this
+// package.
 //
-// Pay-for-what-you-use: every instrument method is safe on a nil receiver
-// and returns immediately, so engine code calls its instruments
-// unconditionally and an unmetered run pays one predictable branch per
-// (already coarse-grained) call site. Instruments are safe for concurrent
-// use; updates are lock-free.
+// Pay-for-what-you-use: an unmetered run has no bridge in its observer
+// chain, so it pays only the engine's nil checks on the observer. Every
+// instrument method is also safe on a nil receiver and returns
+// immediately. Instruments are safe for concurrent use; updates are
+// lock-free.
 package metrics
 
 import (

@@ -323,17 +323,6 @@ func Assemble(plis []*PLI, numRows int, prefix []int32, threads int) *Index {
 	return ix
 }
 
-// ForEachClusterSize calls f with the size of every non-singleton cluster
-// across all attribute PLIs, in attribute order. The metrics layer uses it
-// to record the cluster-size distribution after preprocessing.
-func (ix *Index) ForEachClusterSize(f func(size int)) {
-	for _, p := range ix.Plis {
-		for _, c := range p.Clusters {
-			f(len(c))
-		}
-	}
-}
-
 // Rank returns, for every attribute, its position in Order. Attributes with
 // more clusters (more distinct values) have lower ranks.
 func (ix *Index) Rank() []int {

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"hyfd/internal/bitset"
-	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
 )
 
@@ -78,7 +77,9 @@ type Sampler struct {
 	initialized bool
 	unfocused   bool
 	threads     int
-	inst        metrics.SamplerInstruments
+	// efficiencies holds the current round's window efficiencies
+	// (WindowEfficiencies); each round starts a fresh slice.
+	efficiencies []float64
 	// budget is n(n-1)/2, the number of record pairs Fdep's loop compares.
 	// Once Comparisons reach it, the sampler compares every pair instead of
 	// running further windows (compareAllPairs), and allPairs is set.
@@ -111,11 +112,6 @@ type Config struct {
 	// quantifies the contribution of focused sampling; it affects
 	// efficiency only, never correctness.
 	Unfocused bool
-	// Instruments carries the sampler's direct metrics hooks. The zero
-	// value is a no-op: the per-comparison hot path stays untouched,
-	// comparison counts are batched once per round, and the per-window
-	// instruments fire once per window run.
-	Instruments metrics.SamplerInstruments
 }
 
 // New returns a Sampler over the preprocessed index.
@@ -134,7 +130,6 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		threshold: threshold,
 		threads:   threads,
 		unfocused: cfg.Unfocused,
-		inst:      cfg.Instruments,
 		seen:      make(map[string]struct{}),
 		scratch:   bitset.New(ix.NumCols),
 		budget:    n * (n - 1) / 2,
@@ -148,6 +143,12 @@ func (s *Sampler) Threshold() float64 { return s.threshold }
 // observations then hold every agree set of the relation, so the negative
 // cover is complete and later runs return nothing.
 func (s *Sampler) AllPairs() bool { return s.allPairs }
+
+// WindowEfficiencies returns, in run order, new observations per comparison
+// of each window run of the latest round that made comparisons (telemetry
+// for trace.SamplingRound). The slice belongs to the caller: the next round
+// starts a new one.
+func (s *Sampler) WindowEfficiencies() []float64 { return s.efficiencies }
 
 // Run performs one sampling round and returns the FD-violations first
 // observed during this round, as bitsets of the attributes in which the
@@ -168,8 +169,7 @@ func (s *Sampler) AllPairs() bool { return s.allPairs }
 // canceled run returns ctx.Err() promptly and leaves the sampler in a
 // consistent (but unfinished) state.
 func (s *Sampler) Run(ctx context.Context, suggestions []pli.Pair) ([]bitset.Set, error) {
-	compsBefore := s.Comparisons
-	defer func() { s.inst.Comparisons.Add(s.Comparisons - compsBefore) }()
+	s.efficiencies = nil
 	var newObs []bitset.Set
 	if !s.initialized {
 		s.initialized = true
@@ -440,9 +440,8 @@ func (s *Sampler) runWindow(ctx context.Context, e *efficiency, newObs *[]bitset
 	e.comps += comps
 	e.results += int64(len(*newObs) - before)
 	s.Windows++
-	s.inst.Windows.Inc()
 	if comps > 0 {
-		s.inst.WindowEfficiency.Observe(float64(len(*newObs)-before) / float64(comps))
+		s.efficiencies = append(s.efficiencies, float64(len(*newObs)-before)/float64(comps))
 	}
 	return nil
 }
@@ -564,6 +563,3 @@ func (s *Sampler) markSeen(agree bitset.Set) bool {
 	s.seen[string(s.keyBuf)] = struct{}{}
 	return true
 }
-
-// ObservationCount returns the number of distinct FD-violations seen so far.
-func (s *Sampler) ObservationCount() int { return len(s.seen) }

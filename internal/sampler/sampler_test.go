@@ -69,8 +69,8 @@ func TestFirstRunFindsViolations(t *testing.T) {
 	if !obs[0].Equal(bitset.FromIndices(3, 0)) {
 		t.Fatalf("agree set = %v, want {0}", obs[0])
 	}
-	if s.Comparisons == 0 || s.ObservationCount() != 1 {
-		t.Fatalf("telemetry: comps=%d obs=%d", s.Comparisons, s.ObservationCount())
+	if s.Comparisons == 0 || len(s.seen) != 1 {
+		t.Fatalf("telemetry: comps=%d obs=%d", s.Comparisons, len(s.seen))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestSuggestionsProcessedOnReentry(t *testing.T) {
 	}, []string{"A", "B", "C"})
 	s := New(ix, Config{Threads: 1})
 	mustRun(t, s, nil)
-	before := s.ObservationCount()
+	before := len(s.seen)
 	obs := mustRun(t, s, []pli.Pair{{A: 0, B: 3}})
 	// The pair (0,3) agrees exactly on {A,B}; if the first run already saw
 	// that pattern the second returns nothing, otherwise exactly it.
@@ -153,7 +153,7 @@ func TestSuggestionsProcessedOnReentry(t *testing.T) {
 			t.Fatalf("unexpected observation %v", o)
 		}
 	}
-	if s.ObservationCount() < before {
+	if len(s.seen) < before {
 		t.Fatal("observation count regressed")
 	}
 }
@@ -332,8 +332,8 @@ func TestAllPairsPass(t *testing.T) {
 				}
 				got[o.Key()] = true
 			}
-			if len(got) != len(want) || s.ObservationCount() != len(want) {
-				t.Fatalf("%s, threads=%d: %d observations (%d seen), want the %d distinct agree sets", rel.Name, threads, len(got), s.ObservationCount(), len(want))
+			if len(got) != len(want) || len(s.seen) != len(want) {
+				t.Fatalf("%s, threads=%d: %d observations (%d seen), want the %d distinct agree sets", rel.Name, threads, len(got), len(s.seen), len(want))
 			}
 			for k, agree := range want {
 				if !got[k] {
@@ -611,8 +611,8 @@ func TestDuplicateMatchAllocs(t *testing.T) {
 	if len(obs) != 2 || !obs[0].Equal(bitset.FromIndices(3, 0, 2)) || !obs[1].Equal(bitset.FromIndices(3, 0, 1)) {
 		t.Fatalf("observations = %v, want [{0,2} {0,1}]", obs)
 	}
-	if s.Comparisons != 103 || s.ObservationCount() != 2 { // AllocsPerRun adds a warm-up call
-		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, s.ObservationCount())
+	if s.Comparisons != 103 || len(s.seen) != 2 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, len(s.seen))
 	}
 }
 

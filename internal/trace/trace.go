@@ -1,20 +1,20 @@
 // Package trace defines the observability layer of the discovery engine:
 // a pluggable Observer that receives typed events as a run progresses.
 // HyFD's orchestrator emits one event per preprocessing step, sampling
-// round, phase switch, validation level, Guardian intervention, and run
-// completion, so callers can render progress, collect per-phase timings, or
-// feed dashboards without touching engine internals.
+// round, phase switch, validation level, Guardian intervention, ranked
+// result, and run completion, so callers can render progress, collect
+// per-phase timings, or feed dashboards without touching engine internals.
+//
+// The events are the engine's only telemetry output. Each carries, batched
+// per round or per level, every quantity a consumer derives from it: the
+// engine's Stats, the hyfd_* instrument families of internal/metrics, the
+// per-job spans of internal/tracing, and the CLI's progress lines all read
+// this stream and nothing else.
 //
 // Observers are invoked synchronously from the engine's coordinating
 // goroutine, in run order — never concurrently. An observer must therefore
 // return quickly; expensive sinks should hand events off to their own
 // goroutine. A nil Observer is always valid and costs one branch per event.
-//
-// The internal/metrics package builds on this layer: its EngineMetrics
-// bridges the event stream into hyfd_* counter/gauge/histogram families,
-// so Prometheus exposition and JSON snapshots are fed from the same events
-// as any user observer. The internal/tracing package bridges the same
-// stream into per-job flight-recorder spans for the hyfdd serving path.
 package trace
 
 import (
@@ -71,9 +71,26 @@ type PLIBuilt struct {
 	// Clusters is the attribute's distinct-value count (including stripped
 	// singletons).
 	Clusters int
+	// Sizes views the sizes of the attribute's non-singleton clusters.
+	Sizes ClusterSizes
 	// Duration is the attribute's build wall-clock time.
 	Duration time.Duration
 }
+
+// ClusterSizes is a read-only view of the sizes of one PLI's non-singleton
+// clusters. It wraps the PLI's own cluster slice, which is immutable, so
+// building the view copies nothing; observers can measure the clusters but
+// not reach the records in them.
+type ClusterSizes struct{ clusters [][]int32 }
+
+// NewClusterSizes views the given clusters without copying them.
+func NewClusterSizes(clusters [][]int32) ClusterSizes { return ClusterSizes{clusters} }
+
+// Len returns the number of clusters.
+func (s ClusterSizes) Len() int { return len(s.clusters) }
+
+// At returns the size of cluster i.
+func (s ClusterSizes) At(i int) int { return len(s.clusters[i]) }
 
 // PreprocessingDone reports that PLIs and compressed records were built —
 // or, for a warm run, that a previously prepared Dataset was reused.
@@ -95,12 +112,16 @@ type SamplingRound struct {
 	Round int
 	// NewObservations is the number of FD-violations first seen this round.
 	NewObservations int
-	// Comparisons is the cumulative record-pair comparison count.
+	// Comparisons is the run's cumulative record-pair comparison count.
 	Comparisons int64
-	// Windows is the cumulative cluster-window run count (the sampler's
-	// unit of work; each window run compares every record pair at one
-	// window distance within one cluster).
+	// Windows is the run's cumulative window run count (the sampler's unit
+	// of work; each window run compares every record pair at one window
+	// distance within every cluster of one attribute's sortation).
 	Windows int64
+	// Efficiencies holds, in run order, new observations per comparison of
+	// each of the round's window runs that made comparisons — the quantity
+	// the sampler's priority queue ranks on.
+	Efficiencies []float64
 	// Threshold is the efficiency threshold the round stopped at (it halves
 	// on every re-entry into Phase 1).
 	Threshold float64
@@ -112,6 +133,9 @@ type SamplingRound struct {
 	// Induction is the part of Duration spent inducing the round's new
 	// observations into the FDTree.
 	Induction time.Duration
+	// FootprintBytes is the result tree's approximate footprint after the
+	// round's Guardian check.
+	FootprintBytes int64
 }
 
 // PhaseSwitch reports a hand-over between the two phases.
@@ -132,6 +156,11 @@ type ValidationLevel struct {
 	// Suggestions is the number of violating record pairs this level
 	// collected for Phase 1 — the quantity that decides a switch back.
 	Suggestions int
+	// Validations is the number of FDTree nodes validated on this level.
+	Validations int
+	// FootprintBytes is the result tree's approximate footprint after the
+	// level's specializations.
+	FootprintBytes int64
 	// Duration is the level's wall-clock time.
 	Duration time.Duration
 }
@@ -163,6 +192,9 @@ type RankedResult struct {
 	Lhs []int
 	// Rhs is the dependent attribute index.
 	Rhs int
+	// TopK is the number of results the run requested; 0 ranks the
+	// complete cover.
+	TopK int
 	// Duration is the elapsed run time when the rank stabilized.
 	Duration time.Duration
 }
@@ -194,18 +226,14 @@ type DeltaApplied struct {
 	Duration time.Duration
 }
 
-// IncrementalCandidates reports how much of the base cover an incremental
-// maintenance run's delta affected.
-type IncrementalCandidates struct {
+// IncrementalDone reports completion of an incremental maintenance run and
+// how much of the base cover its delta affected.
+type IncrementalDone struct {
 	// BaseFDs is the size of the maintained base cover.
 	BaseFDs int
 	// Breakable counts base FDs the inserted records of an insert-only
 	// batch broke; a batch with deletes, which re-runs discovery, reports 0.
 	Breakable int
-}
-
-// IncrementalDone reports completion of an incremental maintenance run.
-type IncrementalDone struct {
 	// FDs is the size of the maintained minimal cover.
 	FDs int
 	// Checks counts the refinement validations of a batch with deletes,
@@ -219,18 +247,17 @@ type IncrementalDone struct {
 	Duration time.Duration
 }
 
-func (IngestDone) event()            {}
-func (PLIBuilt) event()              {}
-func (PreprocessingDone) event()     {}
-func (SamplingRound) event()         {}
-func (PhaseSwitch) event()           {}
-func (ValidationLevel) event()       {}
-func (GuardianPrune) event()         {}
-func (RankedResult) event()          {}
-func (Done) event()                  {}
-func (DeltaApplied) event()          {}
-func (IncrementalCandidates) event() {}
-func (IncrementalDone) event()       {}
+func (IngestDone) event()        {}
+func (PLIBuilt) event()          {}
+func (PreprocessingDone) event() {}
+func (SamplingRound) event()     {}
+func (PhaseSwitch) event()       {}
+func (ValidationLevel) event()   {}
+func (GuardianPrune) event()     {}
+func (RankedResult) event()      {}
+func (Done) event()              {}
+func (DeltaApplied) event()      {}
+func (IncrementalDone) event()   {}
 
 // Observer receives trace events during a discovery run.
 type Observer interface {

@@ -42,7 +42,6 @@ const (
 	SpanRankedResult    = "ranked.result"
 	SpanEngineDone      = "engine.done"
 	SpanDeltaApply      = "delta.apply"
-	SpanIncrCandidates  = "incremental.candidates"
 	SpanIncrDone        = "incremental.done"
 )
 
@@ -66,7 +65,8 @@ func (b *bridge) Observe(e trace.Event) {
 			Int64("comparisons", ev.Comparisons),
 			Int64("windows", ev.Windows),
 			Float("threshold", ev.Threshold),
-			Bool("all_pairs", ev.AllPairs))
+			Bool("all_pairs", ev.AllPairs),
+			Int64("induction_ns", ev.Induction.Nanoseconds()))
 	case trace.PhaseSwitch:
 		b.rec.Instant(SpanPhaseSwitch, b.parent,
 			String("from", ev.From.String()), String("to", ev.To.String()),
@@ -75,7 +75,7 @@ func (b *bridge) Observe(e trace.Event) {
 		b.rec.Completed(SpanValidationLevel, b.parent, ev.Duration,
 			Int("level", ev.Level), Int("candidates", ev.Candidates),
 			Int("valid", ev.Valid), Int("invalid", ev.Invalid),
-			Int("suggestions", ev.Suggestions))
+			Int("suggestions", ev.Suggestions), Int("validations", ev.Validations))
 	case trace.GuardianPrune:
 		b.rec.Instant(SpanGuardianPrune, b.parent,
 			Int("max_lhs", ev.MaxLhs), Int("interventions", ev.Interventions),
@@ -90,11 +90,9 @@ func (b *bridge) Observe(e trace.Event) {
 			Int("version", ev.Version), Int("inserts", ev.Inserts),
 			Int("deletes", ev.Deletes), Int("rows", ev.Rows),
 			Int("shared_attrs", ev.SharedAttrs))
-	case trace.IncrementalCandidates:
-		b.rec.Instant(SpanIncrCandidates, b.parent,
-			Int("base_fds", ev.BaseFDs), Int("breakable", ev.Breakable))
 	case trace.IncrementalDone:
 		b.rec.Completed(SpanIncrDone, b.parent, ev.Duration,
+			Int("base_fds", ev.BaseFDs), Int("breakable", ev.Breakable),
 			Int("fds", ev.FDs), Int("checks", ev.Checks),
 			Int("specialized", ev.Specialized))
 	}

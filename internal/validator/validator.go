@@ -19,7 +19,6 @@ import (
 	"hyfd/internal/fd"
 	"hyfd/internal/fdtree"
 	"hyfd/internal/invariant"
-	"hyfd/internal/metrics"
 	"hyfd/internal/pli"
 	"hyfd/internal/trace"
 )
@@ -56,7 +55,6 @@ type Validator struct {
 	threads   int
 	intersect bool
 	observer  trace.Observer
-	inst      metrics.ValidatorInstruments
 	levelFn   func(level int, valid []fd.FD) bool
 	// checkers holds one refiner per worker, built on first use and reused
 	// across levels and runs.
@@ -95,13 +93,6 @@ func WithThreads(n int) Option {
 // the validator.
 func WithObserver(o trace.Observer) Option {
 	return func(v *Validator) { v.observer = o }
-}
-
-// WithInstruments attaches the validator's direct metrics hooks. The zero
-// value is a no-op. Counts are batched once per level, added before the
-// trace.ValidationLevel event fires so observers read current totals.
-func WithInstruments(in metrics.ValidatorInstruments) Option {
-	return func(v *Validator) { v.inst = in }
 }
 
 // WithLevelFunc registers a per-level callback for ranked discovery. After
@@ -210,14 +201,14 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 		if invariant.Enabled {
 			v.assertLevelMinimal(level)
 		}
-		v.inst.Validations.Add(v.Validations - validationsBefore)
-		v.inst.Suggestions.Add(int64(len(res.Suggestions) - suggestionsBefore))
 		trace.Emit(v.observer, trace.ValidationLevel{
-			Level:       v.levelNumber,
-			Candidates:  numValid + numInvalid,
-			Valid:       numValid,
-			Invalid:     numInvalid,
-			Suggestions: len(res.Suggestions) - suggestionsBefore,
+			Level:          v.levelNumber,
+			Candidates:     numValid + numInvalid,
+			Valid:          numValid,
+			Invalid:        numInvalid,
+			Suggestions:    len(res.Suggestions) - suggestionsBefore,
+			Validations:    int(v.Validations - validationsBefore),
+			FootprintBytes: int64(v.tree.ApproxBytes()),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(levelStart),
 		})

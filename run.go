@@ -177,7 +177,7 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 		return nil, errors.New("hyfd: ModeIncremental requires an unbounded cover (Options.MaxLhsSize must be 0)")
 	}
 	opts := req.Options
-	observer := trace.Multi(opts.Observer, metrics.NewEngineMetrics(opts.Metrics).Observer())
+	observer := runObserver(opts.Metrics, opts.Observer)
 	snap, err := req.Dataset.Apply(ctx, *req.Delta)
 	if err != nil {
 		return nil, err
@@ -214,6 +214,15 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 	return &Result{FDs: set.All(), Set: set, Dataset: snap, Stats: stats}, nil
 }
 
+// runObserver composes the observer one run reports through: the metrics
+// bridge of reg, when there is a registry, then obs. It is the single place
+// the bridge joins the event stream: fd, ranked and incremental runs and
+// Prepare all build their observer here, one per run, since a bridge serves
+// one stream at a time.
+func runObserver(reg *MetricsRegistry, obs Observer) Observer {
+	return trace.Multi(metrics.NewEngineMetrics(reg).Observer(), obs)
+}
+
 // engineConfig maps the request options onto the HyFD engine's
 // configuration, for fd and ranked mode.
 func engineConfig(opts Options) core.Config {
@@ -223,8 +232,7 @@ func engineConfig(opts Options) core.Config {
 		Threads:             opts.Threads,
 		MaxLhsSize:          opts.MaxLhsSize,
 		MemoryBudgetBytes:   opts.MemoryBudgetBytes,
-		Observer:            opts.Observer,
-		Metrics:             opts.Metrics,
+		Observer:            runObserver(opts.Metrics, opts.Observer),
 	}
 }
 
