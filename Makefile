@@ -6,7 +6,7 @@ GO ?= go
 # full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler fuzz-smoke-csv serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -116,6 +116,13 @@ fuzz-smoke-inductor:
 # the same order with the same comparison, window and all-pairs counts.
 fuzz-smoke-sampler:
 	$(GO) test -fuzz=FuzzSamplerDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sampler
+
+# fuzz-smoke-csv runs the CSV reader fuzzer: on fuzzed inputs and
+# separators, the chunked reader at 1 and 3 threads, with full-size chunks
+# and with chunks of a fuzzed 1 to 64 bytes, must return the same relation
+# or the same error as the sequential encoding/csv reference.
+fuzz-smoke-csv:
+	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relation
 
 # serve-smoke is the end-to-end daemon exercise: build hyfdd, start it,
 # register a CSV, run one job per mode (fd/afd/ucc/ranked), POST a delta

@@ -33,6 +33,7 @@ import (
 	"hyfd/internal/metrics"
 	"hyfd/internal/rank"
 	"hyfd/internal/relation"
+	"hyfd/internal/trace"
 )
 
 // HyFDName is the display name of the paper's algorithm in result tables.
@@ -79,9 +80,9 @@ type Spec struct {
 	// the cut bound proves the prefix stable, so Seconds measures
 	// time-to-top-k rather than time-to-complete-cover.
 	TopK int `json:"top_k,omitempty"`
-	// Metrics meters HyFD runs: the run's observer is the metrics bridge of
-	// a fresh registry, whose snapshot the result embeds (see
-	// Result.Metrics). Off by default so the perf-criterion paths
+	// Metrics meters HyFD and Incremental runs: the run's observer is the
+	// metrics bridge of a fresh registry, whose snapshot the result embeds
+	// (see Result.Metrics). Off by default so the perf-criterion paths
 	// (bench_test.go) stay unmetered.
 	Metrics bool `json:"metrics,omitempty"`
 	// PrepOnly measures only the preprocessing stage (PLI construction and
@@ -265,6 +266,20 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 		}
 	}
 
+	// A metered spec reports through the metrics bridge of a fresh
+	// registry, whose snapshot a completed HyFD or incremental run embeds.
+	var reg *metrics.Registry
+	if spec.Metrics {
+		reg = metrics.NewRegistry()
+	}
+	observer := metrics.NewEngineMetrics(reg).Observer()
+	meter := func() {
+		if reg != nil {
+			snap := reg.Snapshot()
+			res.Metrics = &snap
+		}
+	}
+
 	start := time.Now()
 	if res.Err != "" {
 		// Pre-timer preparation failed; there is nothing to measure.
@@ -273,7 +288,16 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 		var set *fd.Set
 		var istats incremental.Stats
 		if err == nil {
-			set, istats, err = incremental.Maintain(ctx, snap, incCover, incremental.Config{})
+			prov := snap.Provenance()
+			trace.Emit(observer, trace.DeltaApplied{
+				Version:     snap.Version(),
+				Inserts:     prov.Inserts,
+				Deletes:     prov.Deletes,
+				Rows:        snap.NumRows(),
+				SharedAttrs: prov.SharedAttrs,
+				Duration:    snap.PreprocessingTime(),
+			})
+			set, istats, err = incremental.Maintain(ctx, snap, incCover, incremental.Config{Observer: observer})
 		}
 		res.Seconds = time.Since(start).Seconds()
 		if err != nil {
@@ -289,6 +313,7 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 			if spec.Digest {
 				res.CoverDigest = coverDigest(set)
 			}
+			meter()
 		}
 	} else if spec.PrepOnly {
 		d, err := dataset.Prepare(ctx, rel, dataset.Options{Threads: threads})
@@ -299,15 +324,11 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 		}
 		runtime.KeepAlive(d)
 	} else if spec.Algorithm == HyFDName {
-		var reg *metrics.Registry
-		if spec.Metrics {
-			reg = metrics.NewRegistry()
-		}
 		cfg := core.Config{
 			Threads:             threads,
 			EfficiencyThreshold: spec.Threshold,
 			MaxLhsSize:          spec.MaxLhs,
-			Observer:            metrics.NewEngineMetrics(reg).Observer(),
+			Observer:            observer,
 		}
 		if spec.TopK > 0 {
 			var (
@@ -328,10 +349,7 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 				res.Switches = stats.PhaseSwitches
 				res.Stats = stats
 				res.RankedDigest = rankedDigest(ranked)
-				if reg != nil {
-					snap := reg.Snapshot()
-					res.Metrics = &snap
-				}
+				meter()
 			}
 		} else {
 			var (
@@ -354,10 +372,7 @@ func Measure(ctx context.Context, spec Spec, rel *relation.Relation) Result {
 				if spec.Digest {
 					res.CoverDigest = coverDigest(set)
 				}
-				if reg != nil {
-					snap := reg.Snapshot()
-					res.Metrics = &snap
-				}
+				meter()
 			}
 		}
 	} else {

@@ -87,6 +87,26 @@ func TestIncrementalMeasurement(t *testing.T) {
 	}
 }
 
+// TestIncrementalMeasurementMetered checks that a metered incremental spec
+// reports through the metrics bridge: one maintenance run and the applied
+// batch's insert rows.
+func TestIncrementalMeasurementMetered(t *testing.T) {
+	res := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "bridges", Rows: 300, Threads: 1,
+		DeltaRows: 3, Incremental: true, Metrics: true})
+	if res.Err != "" {
+		t.Fatalf("incremental run: %s", res.Err)
+	}
+	if res.Metrics == nil {
+		t.Fatal("metered incremental run carries no metrics snapshot")
+	}
+	if runs, ok := res.Metrics.Counter("hyfd_incremental_runs_total"); !ok || runs != 1 {
+		t.Fatalf("hyfd_incremental_runs_total = %d (present %v), want 1", runs, ok)
+	}
+	if rows, ok := res.Metrics.Counter("hyfd_incremental_delta_rows_total", "kind", "insert"); !ok || rows != 3 {
+		t.Fatalf("hyfd_incremental_delta_rows_total{kind=insert} = %d (present %v), want 3", rows, ok)
+	}
+}
+
 func TestExperimentsDefinitions(t *testing.T) {
 	opts := DefaultOptions()
 	exps := Experiments(opts)

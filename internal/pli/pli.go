@@ -57,9 +57,10 @@ func (p *PLI) IsUnique() bool {
 	return len(p.Clusters) == 0
 }
 
-// Build constructs the PLI of one attribute from its column values. Under
-// NullNotEqualsNull, every null cell forms its own singleton cluster, so
-// nulls never witness an FD violation on the left-hand side.
+// Build constructs the PLI of attribute attr from cell attr of every row,
+// read in place. Under NullNotEqualsNull, every null cell forms its own
+// singleton cluster, so nulls never witness an FD violation on the
+// left-hand side.
 //
 // One dictionary pass gives every distinct value a dense id in order of
 // first appearance, through an open-addressed table of int32 slots hashed
@@ -68,14 +69,14 @@ func (p *PLI) IsUnique() bool {
 // every cluster in one flat array. Ids in first-appearance order list the
 // clusters by first record and fill each one ascending, so no sort is
 // needed and no output depends on the seed.
-func Build(attr int, column []string, ns relation.NullSemantics) *PLI {
-	return build(attr, column, ns, false)
+func Build(attr int, rows [][]string, ns relation.NullSemantics) *PLI {
+	return build(attr, rows, ns, false)
 }
 
 // build is Build with a test seam: collide sends every value to one slot,
 // so each lookup walks the probe chain.
-func build(attr int, column []string, ns relation.NullSemantics, collide bool) *PLI {
-	n := len(column)
+func build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *PLI {
+	n := len(rows)
 	size := 1
 	for size < 2*n {
 		size <<= 1 // load at most one half
@@ -92,7 +93,8 @@ func build(attr int, column []string, ns relation.NullSemantics, collide bool) *
 	slots := make([]int32, size)
 	ids := make([]int32, n)
 	distinct, nulls := int32(0), 0
-	for r, v := range column {
+	for r, row := range rows {
+		v := row[attr]
 		if ns == relation.NullNotEqualsNull && v == relation.Null {
 			ids[r] = -1
 			nulls++
@@ -107,7 +109,7 @@ func build(attr int, column []string, ns relation.NullSemantics, collide bool) *
 				distinct++
 				break
 			}
-			if column[first-1] == v {
+			if rows[first-1][attr] == v {
 				ids[r] = ids[first-1]
 				break
 			}
@@ -203,11 +205,7 @@ func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Option
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			start = time.Now()
 		}
-		col := make([]string, len(rel.Rows))
-		for i, row := range rel.Rows {
-			col[i] = row[a]
-		}
-		plis[a] = Build(a, col, ns)
+		plis[a] = Build(a, rel.Rows, ns)
 		if opts.OnBuild != nil {
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			opts.OnBuild(plis[a], time.Since(start))

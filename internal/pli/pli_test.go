@@ -26,7 +26,7 @@ func classRelation() *relation.Relation {
 func TestBuildPaperExample(t *testing.T) {
 	rel := classRelation()
 	// Paper uses 1-based tuple ids; we use 0-based record ids.
-	teacher := Build(0, rel.Column(0), relation.NullEqualsNull)
+	teacher := Build(0, rel.Rows, relation.NullEqualsNull)
 	if len(teacher.Clusters) != 1 {
 		t.Fatalf("π{Teacher} clusters = %v", teacher.Clusters)
 	}
@@ -36,7 +36,7 @@ func TestBuildPaperExample(t *testing.T) {
 	if teacher.NumClusters != 3 { // Brown, Walker, Miller
 		t.Fatalf("π{Teacher} NumClusters = %d, want 3", teacher.NumClusters)
 	}
-	subject := Build(1, rel.Column(1), relation.NullEqualsNull)
+	subject := Build(1, rel.Rows, relation.NullEqualsNull)
 	if len(subject.Clusters) != 2 {
 		t.Fatalf("π{Subject} clusters = %v", subject.Clusters)
 	}
@@ -47,14 +47,14 @@ func TestBuildPaperExample(t *testing.T) {
 
 func TestBuildNullSemantics(t *testing.T) {
 	col := []string{relation.Null, relation.Null, "x"}
-	eq := Build(0, col, relation.NullEqualsNull)
+	eq := Build(0, columnRows(0, col), relation.NullEqualsNull)
 	if len(eq.Clusters) != 1 || len(eq.Clusters[0]) != 2 {
 		t.Fatalf("null=null clusters = %v", eq.Clusters)
 	}
 	if eq.NumClusters != 2 {
 		t.Fatalf("null=null NumClusters = %d, want 2", eq.NumClusters)
 	}
-	ne := Build(0, col, relation.NullNotEqualsNull)
+	ne := Build(0, columnRows(0, col), relation.NullNotEqualsNull)
 	if len(ne.Clusters) != 0 {
 		t.Fatalf("null!=null clusters = %v", ne.Clusters)
 	}
@@ -64,15 +64,15 @@ func TestBuildNullSemantics(t *testing.T) {
 }
 
 func TestConstantAndUnique(t *testing.T) {
-	cons := Build(0, []string{"a", "a", "a"}, relation.NullEqualsNull)
+	cons := Build(0, columnRows(0, []string{"a", "a", "a"}), relation.NullEqualsNull)
 	if !cons.IsConstant() || cons.IsUnique() {
 		t.Fatal("constant column misclassified")
 	}
-	uniq := Build(0, []string{"a", "b", "c"}, relation.NullEqualsNull)
+	uniq := Build(0, columnRows(0, []string{"a", "b", "c"}), relation.NullEqualsNull)
 	if uniq.IsConstant() || !uniq.IsUnique() {
 		t.Fatal("unique column misclassified")
 	}
-	empty := Build(0, nil, relation.NullEqualsNull)
+	empty := Build(0, columnRows(0, nil), relation.NullEqualsNull)
 	if !empty.IsConstant() || !empty.IsUnique() {
 		t.Fatal("empty column should be constant and unique")
 	}
@@ -132,11 +132,11 @@ func TestPartitionErrorAndConstant(t *testing.T) {
 	if pt.RefinesConstant() {
 		t.Fatal("Teacher is not constant")
 	}
-	cons := PartitionOf(Build(0, []string{"a", "a"}, relation.NullEqualsNull))
+	cons := PartitionOf(Build(0, columnRows(0, []string{"a", "a"}), relation.NullEqualsNull))
 	if !cons.RefinesConstant() {
 		t.Fatal("constant partition not detected")
 	}
-	single := PartitionOf(Build(0, []string{"a"}, relation.NullEqualsNull))
+	single := PartitionOf(Build(0, columnRows(0, []string{"a"}), relation.NullEqualsNull))
 	if !single.RefinesConstant() {
 		t.Fatal("single-row partition should be constant")
 	}
@@ -169,8 +169,8 @@ func TestIntersectCommutes(t *testing.T) {
 			colA[i] = string(rune('a' + r.Intn(4)))
 			colB[i] = string(rune('a' + r.Intn(4)))
 		}
-		pa := PartitionOf(Build(0, colA, relation.NullEqualsNull))
-		pb := PartitionOf(Build(1, colB, relation.NullEqualsNull))
+		pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
+		pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
 		in := NewIntersector(n)
 		ab := in.Intersect(pa, pb)
 		ba := in.Intersect(pb, pa)
@@ -215,15 +215,15 @@ func TestQuickIntersectAgainstDirect(t *testing.T) {
 			colA[i] = string(rune('a' + r.Intn(5)))
 			colB[i] = string(rune('a' + r.Intn(5)))
 		}
-		pa := PartitionOf(Build(0, colA, relation.NullEqualsNull))
-		pb := PartitionOf(Build(1, colB, relation.NullEqualsNull))
+		pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
+		pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
 		prod := NewIntersector(n).Intersect(pa, pb)
 		// Direct: group by (a,b) pair.
 		pairCol := make([]string, n)
 		for i := 0; i < n; i++ {
 			pairCol[i] = colA[i] + "\x01" + colB[i]
 		}
-		direct := PartitionOf(Build(0, pairCol, relation.NullEqualsNull))
+		direct := PartitionOf(Build(0, columnRows(0, pairCol), relation.NullEqualsNull))
 		return normalize(prod) == normalize(direct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -280,7 +280,7 @@ func TestQuickBuildMatchesReference(t *testing.T) {
 		for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
 			want := referenceBuild(2, col, ns)
 			for _, collide := range []bool{false, true} {
-				got := build(2, col, ns, collide)
+				got := build(2, columnRows(2, col), ns, collide)
 				if !reflect.DeepEqual(got, want) {
 					t.Logf("seed %d, %v, collide %v:\n got %+v\nwant %+v", seed, ns, collide, got, want)
 					return false
@@ -303,13 +303,26 @@ func TestQuickBuildMatchesReference(t *testing.T) {
 // TestBuildAllocs pins the flat build: a key column must not cost one
 // allocation per distinct value.
 func TestBuildAllocs(t *testing.T) {
-	col := keyColumn(10000)
+	rows := columnRows(0, keyColumn(10000))
 	allocs := testing.AllocsPerRun(10, func() {
-		Build(0, col, relation.NullEqualsNull)
+		Build(0, rows, relation.NullEqualsNull)
 	})
 	if allocs > 8 {
 		t.Fatalf("Build on a 10,000-row key column: %.0f allocations, want at most 8", allocs)
 	}
+}
+
+// columnRows lays a column out as cell attr of rows that hold nothing else,
+// the input Build reads, cut from one array as the CSV reader cuts them.
+func columnRows(attr int, col []string) [][]string {
+	w := attr + 1
+	cells := make([]string, len(col)*w)
+	rows := make([][]string, len(col))
+	for i, v := range col {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		rows[i][attr] = v
+	}
+	return rows
 }
 
 // keyColumn returns n distinct values in a shuffled order.
@@ -338,16 +351,16 @@ func BenchmarkBuildPLI(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name string
-		col  []string
+		rows [][]string
 	}{
-		{"distinct=50", drawn(50)},
-		{"distinct=n/15", drawn(n / 15)},
-		{"key", keyColumn(n)},
+		{"distinct=50", columnRows(0, drawn(50))},
+		{"distinct=n/15", columnRows(0, drawn(n/15))},
+		{"key", columnRows(0, keyColumn(n))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildSink = Build(0, bc.col, relation.NullEqualsNull)
+				buildSink = Build(0, bc.rows, relation.NullEqualsNull)
 			}
 		})
 	}
@@ -362,8 +375,8 @@ func BenchmarkIntersect(b *testing.B) {
 		colA[i] = string(rune('a' + r.Intn(20)))
 		colB[i] = string(rune('a' + r.Intn(20)))
 	}
-	pa := PartitionOf(Build(0, colA, relation.NullEqualsNull))
-	pb := PartitionOf(Build(1, colB, relation.NullEqualsNull))
+	pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
+	pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
 	in := NewIntersector(n)
 	b.ReportAllocs()
 	b.ResetTimer()

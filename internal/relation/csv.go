@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,21 +23,29 @@ type CSVOptions struct {
 	// NullLiteral, when non-empty, is an additional token mapped to Null
 	// (e.g. "NULL", "\\N").
 	NullLiteral string
-	// Threads is the number of concurrent chunk parsers; 1 parses
-	// sequentially, any value <= 0 picks runtime.GOMAXPROCS(0). The
-	// parallel reader produces a relation bit-for-bit identical to the
-	// sequential one — same row order, same null mapping, same error
-	// messages — see csv_parallel.go for the determinism argument.
+	// Threads is the number of concurrent chunk parsers; 1 parses the
+	// chunks on the caller's goroutine, any value <= 0 picks
+	// runtime.GOMAXPROCS(0). Every thread count produces a relation
+	// identical to the sequential reference parser's — same row order,
+	// same null mapping, same error messages — see csv_parallel.go for
+	// the determinism argument.
 	Threads int
 }
 
-// ReadCSV parses a relation from CSV input. With more than one thread
-// configured (the default resolves to the number of CPUs) the input is
-// split into record-aligned chunks that parse concurrently.
+// ReadCSV parses a relation from CSV input. The input is read once into
+// one string, cut into record-aligned chunks, and the chunks parse
+// concurrently on the configured number of threads (the default resolves
+// to the number of CPUs); see csv_parallel.go.
 func ReadCSV(name string, rd io.Reader, opts CSVOptions) (*Relation, error) {
-	// An invalid separator fails before either parser reads, so both report
-	// the same error whatever the input (the parallel reader would
-	// otherwise never parse an empty input and report it as empty).
+	return readCSV(name, rd, opts, csvChunkSize)
+}
+
+// readCSV is ReadCSV with the chunk size as a parameter, so tests can cut
+// small inputs into many chunks.
+func readCSV(name string, rd io.Reader, opts CSVOptions, chunkSize int) (*Relation, error) {
+	// An invalid separator fails before anything is read, so every thread
+	// count and chunk size reports encoding/csv's own error whatever the
+	// input (an empty input would otherwise report itself as empty).
 	if err := checkComma(opts.Comma); err != nil {
 		return nil, fmt.Errorf("relation %q: %w", name, err)
 	}
@@ -44,10 +53,31 @@ func ReadCSV(name string, rd io.Reader, opts CSVOptions) (*Relation, error) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > 1 {
-		return readCSVParallel(name, rd, opts, threads)
+	input, err := readInput(rd)
+	if err != nil {
+		return nil, fmt.Errorf("relation %q: %w", name, err)
 	}
-	return readCSVSequential(name, rd, opts)
+	return readCSVChunks(name, input, opts, threads, chunkSize)
+}
+
+// readInput reads the whole input into one string. A reader that knows
+// how much it holds (bytes.Reader, strings.Reader, bytes.Buffer: Len; a
+// regular file: Stat) gets a builder of that size up front, so the builder
+// never regrows and recopies what it already holds.
+func readInput(rd io.Reader) (string, error) {
+	var b strings.Builder
+	switch r := rd.(type) {
+	case interface{ Len() int }:
+		b.Grow(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			b.Grow(int(fi.Size()))
+		}
+	}
+	if _, err := io.Copy(&b, rd); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // checkComma returns encoding/csv's own error for a separator it rejects,
@@ -64,9 +94,10 @@ func checkComma(comma rune) error {
 	return nil
 }
 
-// readCSVSequential is the single-threaded reference parser. The parallel
-// reader defers to it for small inputs and to reproduce its exact error
-// messages when any chunk fails to parse.
+// readCSVSequential is the reference parser: encoding/csv over the whole
+// input. The chunked reader returns the same relation, and when any chunk
+// fails to parse it re-parses the input here, so the caller sees this
+// parser's exact error.
 func readCSVSequential(name string, rd io.Reader, opts CSVOptions) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	if opts.Comma != 0 {

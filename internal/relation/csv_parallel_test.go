@@ -34,13 +34,11 @@ func buildTrickyCSV(rows int) string {
 func TestParallelReadCSVMatchesSequential(t *testing.T) {
 	opts := CSVOptions{HasHeader: true, EmptyIsNull: true, NullLiteral: "NULL"}
 	input := buildTrickyCSV(200)
-	seqOpts := opts
-	seqOpts.Threads = 1
-	want, err := ReadCSV("t", strings.NewReader(input), seqOpts)
+	want, err := readCSVSequential("t", strings.NewReader(input), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, threads := range []int{0, 2, 8} {
+	for _, threads := range []int{0, 1, 2, 8} {
 		parOpts := opts
 		parOpts.Threads = threads
 		got, err := ReadCSV("t", strings.NewReader(input), parOpts)
@@ -66,19 +64,77 @@ func TestParallelReadCSVSpansChunkBoundaries(t *testing.T) {
 	if len(input) < 2*csvChunkSize {
 		t.Fatalf("input too small to span chunks: %d bytes", len(input))
 	}
-	seq, err := ReadCSV("t", strings.NewReader(input), CSVOptions{HasHeader: true, Threads: 1})
+	seq, err := readCSVSequential("t", strings.NewReader(input), CSVOptions{HasHeader: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ReadCSV("t", strings.NewReader(input), CSVOptions{HasHeader: true, Threads: 4})
+	for _, threads := range []int{1, 4} {
+		par, err := ReadCSV("t", strings.NewReader(input), CSVOptions{HasHeader: true, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("threads=%d: chunk-spanning parse differs from sequential", threads)
+		}
+		if par.NumRows() != 300 {
+			t.Fatalf("threads=%d: rows = %d, want 300", threads, par.NumRows())
+		}
+	}
+}
+
+// TestPlainChunksMatchSequential reads a quote-free input of at least
+// eight full-size chunks with one quoted record in the middle, so that
+// plain chunks, parsed by splitting, surround one chunk parsed by
+// encoding/csv. Both thread counts must equal the sequential parse, and
+// the rows cut from a chunk's arena must not share spare capacity.
+func TestPlainChunksMatchSequential(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("id,cat,note,maybe\n")
+	for i := 0; b.Len() < 9*csvChunkSize; i++ {
+		switch {
+		case i == 60000:
+			fmt.Fprintf(&b, "%d,c%d,\"quoted, with a\nnewline\",x\n", i, i%7)
+		case i%11 == 0:
+			fmt.Fprintf(&b, "%d,c%d,,NULL\n", i, i%7)
+		case i%13 == 0:
+			b.WriteString("\n") // a blank line
+			fmt.Fprintf(&b, "%d,c%d,n%d,v\n", i, i%7, i%100)
+		default:
+			fmt.Fprintf(&b, "%d,c%d,n%d,v\n", i, i%7, i%100)
+		}
+	}
+	input := b.String()
+	chunks := splitCSVChunks(input, csvChunkSize)
+	quoted := 0
+	for _, c := range chunks {
+		if c.quoted {
+			quoted++
+		}
+	}
+	if len(chunks) < 8 || quoted != 1 || chunks[0].quoted || chunks[len(chunks)-1].quoted {
+		t.Fatalf("%d chunks, %d quoted: want at least 8 with one quoted chunk in the middle", len(chunks), quoted)
+	}
+	opts := CSVOptions{HasHeader: true, EmptyIsNull: true, NullLiteral: "NULL"}
+	want, err := readCSVSequential("t", strings.NewReader(input), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("chunk-spanning parallel parse differs from sequential")
-	}
-	if par.NumRows() != 300 {
-		t.Fatalf("rows = %d, want 300", par.NumRows())
+	for _, threads := range []int{1, 2} {
+		opts.Threads = threads
+		got, err := ReadCSV("t", strings.NewReader(input), opts)
+		if err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("threads=%d: chunked parse differs from sequential", threads)
+		}
+		for _, i := range []int{0, 1000, len(got.Rows) - 2} {
+			next := append([]string(nil), got.Rows[i+1]...)
+			_ = append(got.Rows[i], "x")
+			if !reflect.DeepEqual(got.Rows[i+1], next) {
+				t.Fatalf("threads=%d: appending to row %d changed row %d to %q", threads, i, i+1, got.Rows[i+1])
+			}
+		}
 	}
 }
 
@@ -92,19 +148,20 @@ func TestParallelReadCSVErrorsMatchSequential(t *testing.T) {
 		"a,\n1,2\n",               // empty column name
 	}
 	for _, input := range cases {
-		seqOpts := CSVOptions{HasHeader: true, EmptyIsNull: true, Threads: 1}
-		parOpts := seqOpts
-		parOpts.Threads = 4
-		_, seqErr := ReadCSV("t", strings.NewReader(input), seqOpts)
-		_, parErr := ReadCSV("t", strings.NewReader(input), parOpts)
+		opts := CSVOptions{HasHeader: true, EmptyIsNull: true}
+		_, seqErr := readCSVSequential("t", strings.NewReader(input), opts)
 		if seqErr == nil {
 			t.Fatalf("input %q: sequential parser accepted a bad input", input)
 		}
-		if parErr == nil {
-			t.Fatalf("input %q: parallel parser accepted what sequential rejects", input)
-		}
-		if seqErr.Error() != parErr.Error() {
-			t.Fatalf("input %q: error mismatch:\nsequential: %v\nparallel:   %v", input, seqErr, parErr)
+		for _, threads := range []int{1, 4} {
+			opts.Threads = threads
+			_, parErr := ReadCSV("t", strings.NewReader(input), opts)
+			if parErr == nil {
+				t.Fatalf("input %q, threads %d: chunked reader accepted what sequential rejects", input, threads)
+			}
+			if seqErr.Error() != parErr.Error() {
+				t.Fatalf("input %q, threads %d: error mismatch:\nsequential: %v\nchunked:    %v", input, threads, seqErr, parErr)
+			}
 		}
 	}
 }
