@@ -112,8 +112,10 @@ fuzz-smoke-inductor:
 # fuzz-smoke-sampler runs the sampler differential fuzzer: on fuzzed
 # relations (up to 8 columns and 255 rows, nulls under both semantics) every
 # counting-sorted cluster must equal the comparison-sort reference, and two
-# sampling rounds at 1, 2 and 3 threads must return the same observations in
-# the same order with the same comparison, window and all-pairs counts.
+# sampling rounds at 1, 2 and 3 threads, with and without the repeat skip,
+# must return the same observations in the same order with the same
+# comparison, window and all-pairs counts as the sequential sampler with
+# the skip off, which looks every agree set up.
 fuzz-smoke-sampler:
 	$(GO) test -fuzz=FuzzSamplerDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sampler
 

@@ -2,7 +2,10 @@ package pli
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +128,75 @@ func TestBuildAllWithOnBuildCoversEveryAttribute(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllWithMatchesBuild: every PLI BuildAllWith returns at 1, 2 and
+// 3 threads equals a fresh Build of its attribute, under both null
+// semantics. The columns cycle through a key, two symbols, long values,
+// mostly empty strings and mostly nulls, so a worker's reused builder
+// meets the slots, ids and arena bytes a column of another kind left.
+func TestBuildAllWithMatchesBuild(t *testing.T) {
+	const rows, cols = 500, 15
+	r := rand.New(rand.NewSource(23))
+	names := make([]string, cols)
+	for j := range names {
+		names[j] = "c" + strconv.Itoa(j)
+	}
+	rel := relation.New("kinds", names)
+	for i := 0; i < rows; i++ {
+		row := make([]string, cols)
+		for j := range row {
+			switch j % 5 {
+			case 0:
+				row[j] = strconv.Itoa(i)
+			case 1:
+				row[j] = []string{"a", "b"}[r.Intn(2)]
+			case 2:
+				row[j] = strings.Repeat("long", 10+r.Intn(3)) + strconv.Itoa(r.Intn(rows/4))
+			case 3:
+				if r.Intn(4) > 0 {
+					row[j] = ""
+				} else {
+					row[j] = strconv.Itoa(r.Intn(5))
+				}
+			default:
+				if r.Intn(5) > 0 {
+					row[j] = relation.Null
+				} else {
+					row[j] = strconv.Itoa(r.Intn(20))
+				}
+			}
+		}
+		rel.AppendRow(row)
+	}
+	for _, ns := range []relation.NullSemantics{relation.NullEqualsNull, relation.NullNotEqualsNull} {
+		for _, threads := range []int{1, 2, 3} {
+			for a, got := range BuildAllWith(rel, ns, Options{Threads: threads}) {
+				if want := Build(a, rel.Rows, ns); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v, threads=%d, attr %d:\n got %+v\nwant %+v", ns, threads, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildAll builds every PLI of a 100,000-row analog of the
+// perfbench long table (six columns: a key plus derived and hierarchy
+// columns over domains of 500 to 20,000 values, 2 % noise) at 1 and 2
+// threads.
+func BenchmarkBuildAll(b *testing.B) {
+	rel := datasets.GenProfile(100000, 6, 7, 1, 0.5, 0.3, 0.02, 0, 500, 20000, 0)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildAllSink = BuildAllWith(rel, relation.NullEqualsNull, Options{Threads: threads})
+			}
+		})
+	}
+}
+
+// buildAllSink keeps the benchmarked builds live.
+var buildAllSink []*PLI
 
 func BenchmarkNewIndexSequentialWide(b *testing.B) {
 	rel := benchWide()

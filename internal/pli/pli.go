@@ -9,6 +9,7 @@ package pli
 import (
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -76,6 +77,26 @@ func Build(attr int, rows [][]string, ns relation.NullSemantics) *PLI {
 // build is Build with a test seam: collide sends every value to one slot,
 // so each lookup walks the probe chain.
 func build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *PLI {
+	var b builder
+	return b.build(attr, rows, ns, collide)
+}
+
+// builder is the memory of one dictionary pass, kept for the next: slots
+// holds id+1 of the value hashed there (0 = empty), ids the dense id of
+// every row, or -1 for a null that is its own class, and the bytes of
+// distinct value id are arena[offs[id]:offs[id+1]]. A hit is confirmed
+// against those bytes, which lie together in first-appearance order,
+// rather than through the scattered row of the value's first record.
+// Nothing a build returns points into a builder, so BuildAllWith gives
+// each worker one to reuse across its attributes.
+type builder struct {
+	slots, ids []int32
+	arena      []byte
+	offs       []int
+}
+
+// build is Build on the builder's memory, which it grows as needed.
+func (b *builder) build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *PLI {
 	n := len(rows)
 	size := 1
 	for size < 2*n {
@@ -87,12 +108,19 @@ func build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *
 		hashMask = 0
 	}
 	seed := maphash.MakeSeed()
-	// slots holds the first row + 1 of each distinct value (0 = empty),
-	// and ids the dense id of every row, or -1 for a null that is its own
-	// class.
-	slots := make([]int32, size)
-	ids := make([]int32, n)
-	distinct, nulls := int32(0), 0
+	if cap(b.slots) < size {
+		b.slots = make([]int32, size)
+	}
+	if cap(b.ids) < n {
+		b.ids = make([]int32, n)
+	}
+	if cap(b.offs) < n+1 {
+		b.offs = make([]int, 0, n+1) // at most n distinct values
+	}
+	slots, ids := b.slots[:size], b.ids[:n]
+	clear(slots)
+	arena, offs := b.arena[:0], append(b.offs[:0], 0)
+	nulls := 0
 	for r, row := range rows {
 		v := row[attr]
 		if ns == relation.NullNotEqualsNull && v == relation.Null {
@@ -102,20 +130,27 @@ func build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *
 		}
 		slot := maphash.String(seed, v) & hashMask
 		for {
-			first := slots[slot]
-			if first == 0 {
-				slots[slot] = int32(r) + 1
-				ids[r] = distinct
-				distinct++
+			id := slots[slot] - 1
+			if id < 0 {
+				if len(arena)+len(v) > cap(arena) {
+					arena = growArena(arena, len(v), r, n)
+				}
+				arena = append(arena, v...)
+				id = int32(len(offs) - 1)
+				offs = append(offs, len(arena))
+				slots[slot] = id + 1
+				ids[r] = id
 				break
 			}
-			if rows[first-1][attr] == v {
-				ids[r] = ids[first-1]
+			if string(arena[offs[id]:offs[id+1]]) == v {
+				ids[r] = id
 				break
 			}
 			slot = (slot + 1) & mask
 		}
 	}
+	b.arena, b.offs = arena, offs
+	distinct := int32(len(offs) - 1)
 	// The table is done with; its first slots count the rows per id.
 	counts := slots[:distinct]
 	clear(counts)
@@ -166,6 +201,19 @@ func build(attr int, rows [][]string, ns relation.NullSemantics, collide bool) *
 	return p
 }
 
+// growArena returns arena with room for at least need more bytes, to be
+// appended while reading row r of n. The arena's final size is not known
+// before the pass, and a pass over the rows to measure it costs more than
+// the dictionary pass's own read of them, so the arena grows to the bytes
+// stored per row read so far, times n. That is exact for a key column and,
+// since it is at most the mean length of the cells read so far times n,
+// about the column's own bytes otherwise. It at least doubles, so the
+// copies stay linear in the bytes stored.
+func growArena(arena []byte, need, r, n int) []byte {
+	used := len(arena) + need
+	return slices.Grow(arena, max(used*n/(r+1), 2*cap(arena), used)-len(arena))
+}
+
 // Options configures preprocessing (BuildAllWith, NewIndexWith).
 type Options struct {
 	// Threads is the worker count for per-attribute PLI construction and
@@ -196,22 +244,25 @@ func BuildAll(rel *relation.Relation, ns relation.NullSemantics) []*PLI {
 
 // BuildAllWith constructs one PLI per attribute of the relation, fanning
 // the attributes out over a worker pool. The result is identical to the
-// sequential build for every thread count.
+// sequential build for every thread count. Each worker builds its
+// attributes on one builder, so the dictionary's memory is allocated once
+// per worker rather than once per attribute.
 func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Options) []*PLI {
 	plis := make([]*PLI, rel.NumCols())
-	buildOne := func(a int) {
+	threads := opts.threadCount()
+	builders := make([]builder, max(min(threads, len(plis)), 1))
+	forEachAttr(len(plis), threads, func(w, a int) {
 		start := time.Time{}
 		if opts.OnBuild != nil {
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			start = time.Now()
 		}
-		plis[a] = Build(a, rel.Rows, ns)
+		plis[a] = builders[w].build(a, rel.Rows, ns, false)
 		if opts.OnBuild != nil {
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			opts.OnBuild(plis[a], time.Since(start))
 		}
-	}
-	ForEachAttr(len(plis), opts.threadCount(), buildOne)
+	})
 	return plis
 }
 
@@ -220,12 +271,18 @@ func BuildAllWith(rel *relation.Relation, ns relation.NullSemantics, opts Option
 // goroutine. Work partitions by attribute, so when f(a) writes only state
 // of attribute a, every thread count yields identical results.
 func ForEachAttr(m, threads int, f func(a int)) {
+	forEachAttr(m, threads, func(_, a int) { f(a) })
+}
+
+// forEachAttr is ForEachAttr that also passes f the index w of the worker
+// running it, in [0, min(threads, m)), so f can keep scratch per worker.
+func forEachAttr(m, threads int, f func(w, a int)) {
 	if threads > m {
 		threads = m
 	}
 	if threads <= 1 {
 		for a := 0; a < m; a++ {
-			f(a)
+			f(0, a)
 		}
 		return
 	}
@@ -233,12 +290,12 @@ func ForEachAttr(m, threads int, f func(a int)) {
 	work := make(chan int)
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for a := range work {
-				f(a)
+				f(w, a)
 			}
-		}()
+		}(w)
 	}
 	for a := 0; a < m; a++ {
 		work <- a

@@ -66,9 +66,11 @@ type fuzzRound struct {
 // FuzzSamplerDifferential checks the sampler against itself across thread
 // counts on fuzzed relations, under both null semantics: every sorted
 // cluster equals the comparison-sort reference, and two Run calls at 1, 2
-// and 3 threads return identical observations in identical order with
-// identical Comparisons, Windows and AllPairs. The second call replays up
-// to eight suggestion pairs picked by the second input's bytes.
+// and 3 threads, each with and without the repeat skip, return identical
+// observations in identical order with identical Comparisons, Windows and
+// AllPairs; the reference is one thread with the skip off, which looks
+// every agree set up. The second call replays up to eight suggestion pairs
+// picked by the second input's bytes.
 func FuzzSamplerDifferential(f *testing.F) {
 	// Small alphabets, a key column and a nullable column.
 	f.Add([]byte{4, 120, 1, 3, 6, 0x84, 9, 1, 7}, []byte{0, 1, 5, 9})
@@ -93,21 +95,24 @@ func FuzzSamplerDifferential(f *testing.F) {
 				if diff := sortationDiff(ix, threads, want); diff != "" {
 					t.Fatalf("ns=%v threads=%d: %s", ns, threads, diff)
 				}
-				s := New(ix, Config{Threads: threads})
-				for round, suggestions := range [][]pli.Pair{nil, pairs} {
-					obs, err := s.Run(context.Background(), suggestions)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fuzzRound{obs, s.Comparisons, s.Windows, s.AllPairs()}
-					if threads == 1 {
-						ref = append(ref, got)
-						continue
-					}
-					if w := ref[round]; got.comps != w.comps || got.windows != w.windows || got.allPairs != w.allPairs ||
-						!slices.EqualFunc(got.obs, w.obs, bitset.Set.Equal) {
-						t.Fatalf("ns=%v threads=%d round %d: observations %v, %d comparisons, %d windows, all pairs %v; want %v, %d, %d, %v",
-							ns, threads, round, got.obs, got.comps, got.windows, got.allPairs, w.obs, w.comps, w.windows, w.allPairs)
+				for _, lookupRepeats := range []bool{true, false} {
+					s := New(ix, Config{Threads: threads})
+					s.lookupRepeats = lookupRepeats
+					for round, suggestions := range [][]pli.Pair{nil, pairs} {
+						obs, err := s.Run(context.Background(), suggestions)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := fuzzRound{obs, s.Comparisons, s.Windows, s.AllPairs()}
+						if threads == 1 && lookupRepeats {
+							ref = append(ref, got)
+							continue
+						}
+						if w := ref[round]; got.comps != w.comps || got.windows != w.windows || got.allPairs != w.allPairs ||
+							!slices.EqualFunc(got.obs, w.obs, bitset.Set.Equal) {
+							t.Fatalf("ns=%v threads=%d skip %v round %d: observations %v, %d comparisons, %d windows, all pairs %v; want %v, %d, %d, %v",
+								ns, threads, !lookupRepeats, round, got.obs, got.comps, got.windows, got.allPairs, w.obs, w.comps, w.windows, w.allPairs)
+						}
 					}
 				}
 			}

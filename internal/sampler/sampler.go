@@ -69,14 +69,22 @@ type Sampler struct {
 	// neighbor-attribute keys of Fig. 3(1).
 	sorted [][][]int32
 	seen   map[string]struct{}
-	// scratch holds the agree set of the sequential comparison in flight
-	// and keyBuf the Key bytes of the set markSeen looks up, so a
-	// duplicate allocates nothing.
-	scratch     bitset.Set
-	keyBuf      []byte
-	initialized bool
-	unfocused   bool
-	threads     int
+	// sets are the agree-set scratches of the sequential comparisons, and
+	// keyBuf holds the Key bytes of the set markSeen looks up, so a
+	// duplicate allocates nothing. match builds each set in sets[cur];
+	// once hasLast is set, sets[cur^1] holds the set match looked up last,
+	// and match skips the lookup of an Equal set. A lookup flips cur, so
+	// keeping its set copies nothing and writes no pointer.
+	sets    [2]bitset.Set
+	cur     int
+	keyBuf  []byte
+	hasLast bool
+	// lookupRepeats is a test seam: it turns the repeat check off, so
+	// every comparison looks its agree set up.
+	lookupRepeats bool
+	initialized   bool
+	unfocused     bool
+	threads       int
 	// efficiencies holds the current round's window efficiencies
 	// (WindowEfficiencies); each round starts a fresh slice.
 	efficiencies []float64
@@ -131,7 +139,7 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		threads:   threads,
 		unfocused: cfg.Unfocused,
 		seen:      make(map[string]struct{}),
-		scratch:   bitset.New(ix.NumCols),
+		sets:      [2]bitset.Set{bitset.New(ix.NumCols), bitset.New(ix.NumCols)},
 		budget:    n * (n - 1) / 2,
 	}
 }
@@ -501,8 +509,13 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 // clusters[ci][i] and returns the copies it keeps (see runWindowParallel).
 // s.seen is only read here; the merge writes it after every worker ends.
 // A canceled share returns early, and the caller discards it.
+//
+// As in match, an agree set Equal to the share's previous one skips the
+// lookups: one comparison earlier that set was found in s.seen or in met,
+// or kept in met. last belongs to the share, since another share's sets
+// need not be in this share's met.
 func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int32, ci, i int, n int64) []bitset.Set {
-	agree := bitset.New(s.ix.NumCols)
+	agree, last := bitset.New(s.ix.NumCols), bitset.New(s.ix.NumCols)
 	var key []byte
 	met := make(map[string]struct{})
 	var sets []bitset.Set
@@ -513,8 +526,13 @@ func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int
 				return nil
 			}
 			s.agreeSet(agree, cluster[i], cluster[i+window-1])
+			repeat := done > 0 && !s.lookupRepeats && agree.Equal(last)
 			done++
-			key = agree.AppendKey(key[:0])
+			if repeat {
+				continue
+			}
+			agree, last = last, agree
+			key = last.AppendKey(key[:0])
 			if _, dup := s.seen[string(key)]; dup {
 				continue
 			}
@@ -522,7 +540,7 @@ func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int
 				continue
 			}
 			met[string(key)] = struct{}{}
-			sets = append(sets, agree.Clone())
+			sets = append(sets, last.Clone())
 		}
 	}
 	return sets
@@ -543,13 +561,21 @@ func (s *Sampler) agreeSet(agree bitset.Set, a, b int32) {
 }
 
 // match compares two compressed records and records their agree set if it
-// is a new observation. Only a new observation is copied and keyed, so a
-// duplicate comparison allocates nothing.
+// is a new observation. A set Equal to the latest set match looked up
+// skips the lookup: that set is in seen, which only grows, so the
+// comparison repeats an observation. Only a new observation is copied and
+// keyed, so a duplicate comparison allocates nothing.
 func (s *Sampler) match(a, b int32, newObs *[]bitset.Set) {
 	s.Comparisons++
-	s.agreeSet(s.scratch, a, b)
-	if s.markSeen(s.scratch) {
-		*newObs = append(*newObs, s.scratch.Clone())
+	agree := s.sets[s.cur]
+	s.agreeSet(agree, a, b)
+	if s.hasLast && !s.lookupRepeats && agree.Equal(s.sets[s.cur^1]) {
+		return
+	}
+	s.cur ^= 1
+	s.hasLast = true
+	if s.markSeen(agree) {
+		*newObs = append(*newObs, agree.Clone())
 	}
 }
 

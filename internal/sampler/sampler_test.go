@@ -594,7 +594,8 @@ func TestSortClustersNeighborOrder(t *testing.T) {
 
 // TestDuplicateMatchAllocs pins the reusable agree-set scratch: comparing a
 // pair whose agree set was already observed allocates nothing, and a new
-// observation does not alias the scratch.
+// observation does not alias the scratch. The two pairs alternate, so no
+// comparison repeats the agree set before it and each one is looked up.
 func TestDuplicateMatchAllocs(t *testing.T) {
 	ix := buildIndex([][]string{
 		{"1", "2", "3"},
@@ -604,14 +605,14 @@ func TestDuplicateMatchAllocs(t *testing.T) {
 	s := New(ix, Config{Threads: 1})
 	var obs []bitset.Set
 	s.match(0, 1, &obs)
-	if n := testing.AllocsPerRun(100, func() { s.match(0, 1, &obs) }); n != 0 {
-		t.Fatalf("duplicate comparison allocated %v times, want 0", n)
-	}
 	s.match(0, 2, &obs)
+	if n := testing.AllocsPerRun(100, func() { s.match(0, 1, &obs); s.match(0, 2, &obs) }); n != 0 {
+		t.Fatalf("duplicate comparisons allocated %v times, want 0", n)
+	}
 	if len(obs) != 2 || !obs[0].Equal(bitset.FromIndices(3, 0, 2)) || !obs[1].Equal(bitset.FromIndices(3, 0, 1)) {
 		t.Fatalf("observations = %v, want [{0,2} {0,1}]", obs)
 	}
-	if s.Comparisons != 103 || len(s.seen) != 2 { // AllocsPerRun adds a warm-up call
+	if s.Comparisons != 204 || len(s.seen) != 2 { // AllocsPerRun adds a warm-up call
 		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, len(s.seen))
 	}
 }
@@ -635,11 +636,107 @@ func BenchmarkSamplerRun(b *testing.B) {
 	}
 }
 
+// longAnalog returns the first rows records of the analog of the perfbench
+// long table: six columns, a key plus derived and hierarchy columns over
+// domains of 500 to 20,000 values, 2 % noise.
+func longAnalog(rows int) *relation.Relation {
+	return datasets.GenProfile(rows, 6, 7, 1, 0.5, 0.3, 0.02, 0, 500, 20000, 0)
+}
+
+// TestRepeatSkipMatchesLookups: on a 2,000-row cut of the long analog,
+// where most window comparisons repeat the agree set of the comparison
+// before them, two rounds with the repeat skip return the observations,
+// in the same order, and the counts of the sampler that looks every agree
+// set up, at every thread count. Eight threads put share boundaries inside
+// runs of repeats. Each case runs ten times: the cut's shares are short,
+// and repeats let them overlap, so that a last leaking from one share into
+// another shows without the race detector too.
+func TestRepeatSkipMatchesLookups(t *testing.T) {
+	ix := pli.NewIndex(longAnalog(2000), relation.NullEqualsNull)
+	suggestions := []pli.Pair{{A: 0, B: 1}, {A: 0, B: 1}, {A: 5, B: 1999}, {A: 7, B: 8}, {A: 7, B: 8}}
+	type round struct {
+		obs            []bitset.Set
+		comps, windows int64
+	}
+	runs := func(threads int, lookupRepeats bool) []round {
+		s := New(ix, Config{Threads: threads})
+		s.lookupRepeats = lookupRepeats
+		var rounds []round
+		for _, sug := range [][]pli.Pair{nil, suggestions} {
+			rounds = append(rounds, round{mustRun(t, s, sug), s.Comparisons, s.Windows})
+		}
+		if s.AllPairs() {
+			t.Fatalf("threads=%d: the cut reached the all-pairs budget", threads)
+		}
+		return rounds
+	}
+	want := runs(1, true)
+	if len(want[0].obs) == 0 || len(want[1].obs) == 0 {
+		t.Fatalf("rounds found %d and %d observations, want some in each", len(want[0].obs), len(want[1].obs))
+	}
+	for _, threads := range []int{1, 2, 3, 8} {
+		for _, lookupRepeats := range []bool{false, true} {
+			for rep := 0; rep < 10; rep++ {
+				got := runs(threads, lookupRepeats)
+				for r := range want {
+					g, w := got[r], want[r]
+					if g.comps != w.comps || g.windows != w.windows || !slices.EqualFunc(g.obs, w.obs, bitset.Set.Equal) {
+						t.Fatalf("threads=%d skip %v round %d: %d comparisons, %d windows, observations %v; want %d, %d, %v",
+							threads, !lookupRepeats, r, g.comps, g.windows, g.obs, w.comps, w.windows, w.obs)
+					}
+				}
+			}
+		}
+	}
+	// The premise: most comparisons of the seeding windows (window 2 over
+	// every attribute's sortation) repeat the agree set before them.
+	s := New(ix, Config{Threads: 1})
+	if err := s.sortClusters(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cur, prev := bitset.New(ix.NumCols), bitset.New(ix.NumCols)
+	comps, repeats := 0, 0
+	for _, clusters := range s.sorted {
+		for _, cluster := range clusters {
+			for i := 0; i+1 < len(cluster); i++ {
+				s.agreeSet(cur, cluster[i], cluster[i+1])
+				if comps > 0 && cur.Equal(prev) {
+					repeats++
+				}
+				comps++
+				prev.CopyFrom(cur)
+			}
+		}
+	}
+	if 2*repeats <= comps {
+		t.Fatalf("%d of %d seeding comparisons repeat the agree set before them, want most", repeats, comps)
+	}
+}
+
+// BenchmarkSamplerWindows times the first Run, the sortation and the
+// windows of the first round, on a 100,000-row cut of the long analog at
+// 1 and 2 threads.
+func BenchmarkSamplerWindows(b *testing.B) {
+	ix := pli.NewIndex(longAnalog(100000), relation.NullEqualsNull)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := New(ix, Config{Threads: threads})
+				b.StartTimer()
+				if _, err := s.Run(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSortClusters times the focused sortation of every attribute at
-// one thread, on a 100,000-row analog of the perfbench long table.
+// one thread, on a 100,000-row cut of the long analog.
 func BenchmarkSortClusters(b *testing.B) {
-	rel := datasets.GenProfile(100000, 6, 7, 1, 0.5, 0.3, 0.02, 0, 500, 20000, 0)
-	ix := pli.NewIndex(rel, relation.NullEqualsNull)
+	ix := pli.NewIndex(longAnalog(100000), relation.NullEqualsNull)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
