@@ -7,7 +7,7 @@ import (
 
 // BitsetAliasAnalyzer enforces the bitset mutation discipline: bitset.Set is
 // a value type over a shared []uint64 backing array, so mutating methods
-// (Set, Clear, ClearAll, CopyFrom, UnionWith, AndNotWith) called on a
+// (Set, Clear, SetWord, CopyFrom, UnionWith, AndNotWith) called on a
 // temporary either silently discard the write (fresh result of
 // Clone/With/New) or silently mutate state shared with someone else (a set
 // fetched out of a map or returned by an accessor).
@@ -33,7 +33,7 @@ var BitsetAliasAnalyzer = &Analyzer{
 var bitsetMutators = map[string]bool{
 	"Set":        true,
 	"Clear":      true,
-	"ClearAll":   true,
+	"SetWord":    true,
 	"CopyFrom":   true,
 	"UnionWith":  true,
 	"AndNotWith": true,

@@ -20,6 +20,9 @@ func (s Set) Set(i int) { s.words[i>>6] |= 1 << uint(i&63) }
 // Clear unmarks bit i in the shared backing array.
 func (s Set) Clear(i int) { s.words[i>>6] &^= 1 << uint(i&63) }
 
+// SetWord overwrites word i of the shared backing array with w.
+func (s Set) SetWord(i int, w uint64) { s.words[i] = w }
+
 // Test reports whether bit i is set.
 func (s Set) Test(i int) bool { return s.words[i>>6]&(1<<uint(i&63)) != 0 }
 
@@ -29,9 +32,6 @@ func (s Set) Clone() Set {
 	copy(w, s.words)
 	return Set{words: w, n: s.n}
 }
-
-// ClearAll unmarks every bit in the shared backing array.
-func (s Set) ClearAll() { clear(s.words) }
 
 // CopyFrom overwrites the shared backing array with t's words.
 func (s Set) CopyFrom(t Set) { copy(s.words, t.words) }

@@ -50,18 +50,35 @@ func (s Set) Universe() int { return s.n }
 
 // Set marks attribute i as a member.
 func (s Set) Set(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		s.outOfRange(i)
 	}
-	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+	s.words[i>>6] |= 1 << (i & 63)
 }
 
 // Clear removes attribute i.
 func (s Set) Clear(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		s.outOfRange(i)
 	}
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+	s.words[i>>6] &^= 1 << (i & 63)
+}
+
+// outOfRange panics on an index outside the universe. It formats the
+// message out of line, so Set and Clear stay cheap enough to inline.
+//
+//go:noinline
+func (s Set) outOfRange(i int) {
+	panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+}
+
+// SetWord overwrites word i of s, the attributes 64i to 64i+63, with w in
+// place. Bits of w at or beyond the universe are dropped.
+func (s Set) SetWord(i int, w uint64) {
+	if rem := s.n - i*wordBits; rem < wordBits {
+		w &= 1<<uint(max(rem, 0)) - 1
+	}
+	s.words[i] = w
 }
 
 // Test reports whether attribute i is a member.
@@ -87,11 +104,6 @@ func (s Set) CloneInto(words []uint64) Set {
 	w := words[:len(s.words):len(s.words)]
 	copy(w, s.words)
 	return Set{words: w, n: s.n}
-}
-
-// ClearAll removes every member of s in place.
-func (s Set) ClearAll() {
-	clear(s.words)
 }
 
 // CopyFrom overwrites s in place with the members of t, reusing s's words.

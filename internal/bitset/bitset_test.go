@@ -43,18 +43,23 @@ func TestSetClearTest(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	s := New(10)
-	for _, fn := range []func(){
-		func() { s.Set(10) },
-		func() { s.Set(-1) },
-		func() { s.Clear(10) },
+	for _, tc := range []struct {
+		fn   func()
+		want string
+	}{
+		{func() { s.Set(10) }, "bitset: index 10 out of range [0,10)"},
+		{func() { s.Set(-1) }, "bitset: index -1 out of range [0,10)"},
+		{func() { s.Clear(10) }, "bitset: index 10 out of range [0,10)"},
+		{func() { s.Clear(-7) }, "bitset: index -7 out of range [0,10)"},
+		{func() { New(0).Set(0) }, "bitset: index 0 out of range [0,0)"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic on out-of-range index")
+				if got, ok := recover().(string); !ok || got != tc.want {
+					t.Fatalf("panic value %q, want the string %q", got, tc.want)
 				}
 			}()
-			fn()
+			tc.fn()
 		}()
 	}
 	// Test is lenient: out of range reports false.
@@ -187,9 +192,10 @@ func TestInPlaceOps(t *testing.T) {
 	if a.Test(0) {
 		t.Fatal("CopyFrom aliased the source's words")
 	}
-	a.ClearAll()
+	a.SetWord(0, 0)
+	a.SetWord(1, 0)
 	if !alias.IsEmpty() || alias.Universe() != 70 {
-		t.Fatalf("ClearAll = %v over %d", alias, alias.Universe())
+		t.Fatalf("SetWord = %v over %d", alias, alias.Universe())
 	}
 	a.CopyFrom(FromIndices(70, 1, 2, 3, 65, 66))
 	a.AndNotWith(b)

@@ -189,7 +189,8 @@ func induceInserts(ctx context.Context, ix *pli.Index, from int, base *fd.Set, s
 // agree set is added when some inserted record shares no cluster with some
 // other record.
 func deltaViolations(ix *pli.Index, from int) []bitset.Set {
-	seen := make(map[string]bool)
+	seen := bitset.NewHashSet(ix.NumCols)
+	ag := bitset.New(ix.NumCols)
 	// visited stamps partner rows per inserted record so a pair sharing
 	// several clusters is counted and materialized once.
 	visited := make([]int, ix.NumRows)
@@ -217,10 +218,9 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 				if s >= from && s < r {
 					continue
 				}
-				ag := agreeSet(rec, ix.Row(s))
-				if k := ag.Key(); !seen[k] {
-					seen[k] = true
-					out = append(out, ag)
+				pli.AgreeSet(ag, rec, ix.Row(s))
+				if seen.Add(ag) {
+					out = append(out, ag.Clone())
 				}
 			}
 		}
@@ -230,15 +230,4 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 		out = append(out, bitset.New(ix.NumCols))
 	}
 	return out
-}
-
-// agreeSet returns the attributes on which two compressed records agree.
-func agreeSet(rec, other []int32) bitset.Set {
-	ag := bitset.New(len(rec))
-	for b, c := range rec {
-		if c != pli.Singleton && c == other[b] {
-			ag.Set(b)
-		}
-	}
-	return ag
 }

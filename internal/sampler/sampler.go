@@ -68,16 +68,15 @@ type Sampler struct {
 	// sorted holds, per attribute, its PLI clusters re-sorted by the
 	// neighbor-attribute keys of Fig. 3(1).
 	sorted [][][]int32
-	seen   map[string]struct{}
-	// sets are the agree-set scratches of the sequential comparisons, and
-	// keyBuf holds the Key bytes of the set markSeen looks up, so a
-	// duplicate allocates nothing. match builds each set in sets[cur];
-	// once hasLast is set, sets[cur^1] holds the set match looked up last,
-	// and match skips the lookup of an Equal set. A lookup flips cur, so
-	// keeping its set copies nothing and writes no pointer.
+	// seen holds every agree set observed so far.
+	seen *bitset.HashSet
+	// sets are the agree-set scratches of the sequential comparisons. match
+	// builds each set in sets[cur]; once hasLast is set, sets[cur^1] holds
+	// the set match looked up last, and match skips the lookup of an Equal
+	// set. A lookup flips cur, so keeping its set copies nothing and writes
+	// no pointer.
 	sets    [2]bitset.Set
 	cur     int
-	keyBuf  []byte
 	hasLast bool
 	// lookupRepeats is a test seam: it turns the repeat check off, so
 	// every comparison looks its agree set up.
@@ -138,7 +137,7 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		threshold: threshold,
 		threads:   threads,
 		unfocused: cfg.Unfocused,
-		seen:      make(map[string]struct{}),
+		seen:      bitset.NewHashSet(ix.NumCols),
 		sets:      [2]bitset.Set{bitset.New(ix.NumCols), bitset.New(ix.NumCols)},
 		budget:    n * (n - 1) / 2,
 	}
@@ -497,7 +496,7 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 	s.Comparisons += total
 	for _, sets := range kept {
 		for _, agree := range sets {
-			if s.markSeen(agree) {
+			if s.seen.Add(agree) {
 				*newObs = append(*newObs, agree)
 			}
 		}
@@ -516,8 +515,7 @@ func (s *Sampler) runWindowParallel(ctx context.Context, window int, clusters []
 // need not be in this share's met.
 func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int32, ci, i int, n int64) []bitset.Set {
 	agree, last := bitset.New(s.ix.NumCols), bitset.New(s.ix.NumCols)
-	var key []byte
-	met := make(map[string]struct{})
+	met := bitset.NewHashSet(s.ix.NumCols)
 	var sets []bitset.Set
 	for done := int64(0); done < n; ci, i = ci+1, 0 {
 		cluster := clusters[ci]
@@ -525,67 +523,36 @@ func (s *Sampler) compareShare(ctx context.Context, window int, clusters [][]int
 			if done%cancelStride == 0 && ctx.Err() != nil {
 				return nil
 			}
-			s.agreeSet(agree, cluster[i], cluster[i+window-1])
+			pli.AgreeSet(agree, s.ix.Row(int(cluster[i])), s.ix.Row(int(cluster[i+window-1])))
 			repeat := done > 0 && !s.lookupRepeats && agree.Equal(last)
 			done++
 			if repeat {
 				continue
 			}
 			agree, last = last, agree
-			key = last.AppendKey(key[:0])
-			if _, dup := s.seen[string(key)]; dup {
-				continue
+			if !s.seen.Has(last) && met.Add(last) {
+				sets = append(sets, last.Clone())
 			}
-			if _, dup := met[string(key)]; dup {
-				continue
-			}
-			met[string(key)] = struct{}{}
-			sets = append(sets, last.Clone())
 		}
 	}
 	return sets
 }
 
-// agreeSet overwrites agree with the attributes on which records a and b
-// agree. Singleton cluster ids never match, mirroring stripped-partition
-// semantics.
-func (s *Sampler) agreeSet(agree bitset.Set, a, b int32) {
-	agree.ClearAll()
-	ra, rb := s.ix.Row(int(a)), s.ix.Row(int(b))
-	rb = rb[:len(ra)] // one bounds check here instead of one per cell
-	for attr, cid := range ra {
-		if cid != pli.Singleton && cid == rb[attr] {
-			agree.Set(attr)
-		}
-	}
-}
-
 // match compares two compressed records and records their agree set if it
 // is a new observation. A set Equal to the latest set match looked up
 // skips the lookup: that set is in seen, which only grows, so the
-// comparison repeats an observation. Only a new observation is copied and
-// keyed, so a duplicate comparison allocates nothing.
+// comparison repeats an observation. Only a new observation is copied, so
+// a duplicate comparison allocates nothing.
 func (s *Sampler) match(a, b int32, newObs *[]bitset.Set) {
 	s.Comparisons++
 	agree := s.sets[s.cur]
-	s.agreeSet(agree, a, b)
+	pli.AgreeSet(agree, s.ix.Row(int(a)), s.ix.Row(int(b)))
 	if s.hasLast && !s.lookupRepeats && agree.Equal(s.sets[s.cur^1]) {
 		return
 	}
 	s.cur ^= 1
 	s.hasLast = true
-	if s.markSeen(agree) {
+	if s.seen.Add(agree) {
 		*newObs = append(*newObs, agree.Clone())
 	}
-}
-
-// markSeen adds agree to the observations seen so far and reports whether
-// it is new. The lookup reuses keyBuf, so only a new key allocates.
-func (s *Sampler) markSeen(agree bitset.Set) bool {
-	s.keyBuf = agree.AppendKey(s.keyBuf[:0])
-	if _, dup := s.seen[string(s.keyBuf)]; dup {
-		return false
-	}
-	s.seen[string(s.keyBuf)] = struct{}{}
-	return true
 }

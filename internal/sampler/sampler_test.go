@@ -69,8 +69,8 @@ func TestFirstRunFindsViolations(t *testing.T) {
 	if !obs[0].Equal(bitset.FromIndices(3, 0)) {
 		t.Fatalf("agree set = %v, want {0}", obs[0])
 	}
-	if s.Comparisons == 0 || len(s.seen) != 1 {
-		t.Fatalf("telemetry: comps=%d obs=%d", s.Comparisons, len(s.seen))
+	if s.Comparisons == 0 || s.seen.Len() != 1 {
+		t.Fatalf("telemetry: comps=%d obs=%d", s.Comparisons, s.seen.Len())
 	}
 }
 
@@ -144,7 +144,7 @@ func TestSuggestionsProcessedOnReentry(t *testing.T) {
 	}, []string{"A", "B", "C"})
 	s := New(ix, Config{Threads: 1})
 	mustRun(t, s, nil)
-	before := len(s.seen)
+	before := s.seen.Len()
 	obs := mustRun(t, s, []pli.Pair{{A: 0, B: 3}})
 	// The pair (0,3) agrees exactly on {A,B}; if the first run already saw
 	// that pattern the second returns nothing, otherwise exactly it.
@@ -153,7 +153,7 @@ func TestSuggestionsProcessedOnReentry(t *testing.T) {
 			t.Fatalf("unexpected observation %v", o)
 		}
 	}
-	if len(s.seen) < before {
+	if s.seen.Len() < before {
 		t.Fatal("observation count regressed")
 	}
 }
@@ -313,7 +313,30 @@ func TestAllPairsPass(t *testing.T) {
 		}
 		wide.AppendRow(row)
 	}
-	for _, rel := range []*relation.Relation{analog(t, "bridges"), analog(t, "hepatitis"), random, wide} {
+	// 64, 65 and 130 columns over 30 rows fill one word, spill one
+	// attribute into a second, and spill two into a third. Besides the
+	// last column, every fourth from 60 on is a key, whose ids are all
+	// Singleton, so that the last, partial word holds some.
+	words := func(width int) *relation.Relation {
+		cols := make([]string, width)
+		for j := range cols {
+			cols[j] = "c" + strconv.Itoa(j)
+		}
+		rel := relation.New("wide"+strconv.Itoa(width), cols)
+		for i := 0; i < 30; i++ {
+			row := make([]string, width)
+			for j := range row {
+				if j == width-1 || j >= 60 && j%4 == 0 {
+					row[j] = strconv.Itoa(i)
+				} else {
+					row[j] = strconv.Itoa(r.Intn(2))
+				}
+			}
+			rel.AppendRow(row)
+		}
+		return rel
+	}
+	for _, rel := range []*relation.Relation{analog(t, "bridges"), analog(t, "hepatitis"), random, wide, words(64), words(65), words(130)} {
 		for _, threads := range []int{1, 3} {
 			s := New(pli.NewIndex(rel, relation.NullEqualsNull), Config{Threads: threads})
 			obs := mustRun(t, s, nil)
@@ -332,8 +355,8 @@ func TestAllPairsPass(t *testing.T) {
 				}
 				got[o.Key()] = true
 			}
-			if len(got) != len(want) || len(s.seen) != len(want) {
-				t.Fatalf("%s, threads=%d: %d observations (%d seen), want the %d distinct agree sets", rel.Name, threads, len(got), len(s.seen), len(want))
+			if len(got) != len(want) || s.seen.Len() != len(want) {
+				t.Fatalf("%s, threads=%d: %d observations (%d seen), want the %d distinct agree sets", rel.Name, threads, len(got), s.seen.Len(), len(want))
 			}
 			for k, agree := range want {
 				if !got[k] {
@@ -612,8 +635,8 @@ func TestDuplicateMatchAllocs(t *testing.T) {
 	if len(obs) != 2 || !obs[0].Equal(bitset.FromIndices(3, 0, 2)) || !obs[1].Equal(bitset.FromIndices(3, 0, 1)) {
 		t.Fatalf("observations = %v, want [{0,2} {0,1}]", obs)
 	}
-	if s.Comparisons != 204 || len(s.seen) != 2 { // AllocsPerRun adds a warm-up call
-		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, len(s.seen))
+	if s.Comparisons != 204 || s.seen.Len() != 2 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("comparisons = %d, observations = %d", s.Comparisons, s.seen.Len())
 	}
 }
 
@@ -699,7 +722,7 @@ func TestRepeatSkipMatchesLookups(t *testing.T) {
 	for _, clusters := range s.sorted {
 		for _, cluster := range clusters {
 			for i := 0; i+1 < len(cluster); i++ {
-				s.agreeSet(cur, cluster[i], cluster[i+1])
+				pli.AgreeSet(cur, ix.Row(int(cluster[i])), ix.Row(int(cluster[i+1])))
 				if comps > 0 && cur.Equal(prev) {
 					repeats++
 				}
@@ -724,6 +747,43 @@ func BenchmarkSamplerWindows(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := New(ix, Config{Threads: threads})
+				b.StartTimer()
+				if _, err := s.Run(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSamplerShort times the first Run at one thread, the sortation
+// and the whole first round, on the short-table analogs at the row counts
+// of the benchmark's short-tables and serve-stream workloads; hepatitis and
+// breast-cancer keep the paper's size. Letter's round ends with the pass
+// over all pairs.
+func BenchmarkSamplerShort(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		rows int
+	}{
+		{"ncvoter", 1000}, {"adult", 1000}, {"letter", 1000},
+		{"hepatitis", 0}, {"breast-cancer", 0}, {"abalone", 2000},
+	} {
+		d, err := datasets.ByName(tc.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel := d.Generate(1)
+		if tc.rows > 0 {
+			// The half row keeps rounding from generating one row short.
+			rel = d.Generate((float64(tc.rows) + 0.5) / float64(d.Rows)).Head(tc.rows)
+		}
+		ix := pli.NewIndex(rel, relation.NullEqualsNull)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := New(ix, Config{Threads: 1})
 				b.StartTimer()
 				if _, err := s.Run(context.Background(), nil); err != nil {
 					b.Fatal(err)
