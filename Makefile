@@ -4,7 +4,7 @@ GO ?= go
 # seconds, and written to .bench_json/ so the committed reference artifacts
 # in the repo root stay untouched; override BENCH_JSON_FLAGS for a
 # full-scale artifact run.
-BENCH_JSON_FLAGS ?= -exp table1,ranked -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
+BENCH_JSON_FLAGS ?= -exp table1,ranked,incremental -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
 
 .PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler fuzz-smoke-csv serve-smoke
 

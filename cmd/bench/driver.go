@@ -48,8 +48,16 @@ func (d *driver) runAll(jobs []harness.Spec) []harness.Result {
 func (d *driver) runOne(job harness.Spec) harness.Result {
 	// The key deliberately excludes rows/cols (a limit at a smaller scale
 	// implies one at a larger scale of the same pair) but includes the
-	// threshold and thread parameters, which do not order runs that way.
+	// threshold, thread, top-k and incremental parameters, which do not
+	// order runs that way: a ranked or incremental job can finish where
+	// the full-cover job of its pair timed out.
 	key := fmt.Sprintf("%s|%s|th%g|n%d", job.Dataset, job.Algorithm, job.Threshold, job.Threads)
+	if job.TopK > 0 {
+		key += fmt.Sprintf("|k%d", job.TopK)
+	}
+	if job.Incremental {
+		key += "|incremental"
+	}
 	if marker, skipped := d.skip[key]; skipped {
 		r := harness.Result{Spec: job, Switches: -1}
 		if marker == "ML" {

@@ -35,6 +35,22 @@ func TestDriverSkipPropagation(t *testing.T) {
 	if !ml.MemExceeded {
 		t.Fatalf("skip ML not propagated: %+v", ml)
 	}
+	// A limit on a full-cover job says nothing about the cheaper top-k or
+	// incremental job of the same pair: both still run.
+	d.timeout = time.Nanosecond
+	full := d.runOne(harness.Spec{Algorithm: harness.HyFDName, Dataset: "abalone", Threads: 1})
+	if !full.TimedOut {
+		t.Fatalf("1ns full-cover job did not time out: %+v", full)
+	}
+	d.timeout = time.Minute
+	for _, job := range []harness.Spec{
+		{Algorithm: harness.HyFDName, Dataset: "abalone", Threads: 1, TopK: 10},
+		{Algorithm: harness.HyFDName, Dataset: "abalone", Threads: 1, DeltaRows: 20, Incremental: true},
+	} {
+		if r := d.runOne(job); r.TimedOut || r.Err != "" || r.FDs == 0 {
+			t.Fatalf("job %+v skipped after the full-cover TL: %+v", job, r)
+		}
+	}
 	// A fresh experiment resets the table.
 	old := os.Stderr
 	null, _ := os.Open(os.DevNull)

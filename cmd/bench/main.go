@@ -1,8 +1,10 @@
 // Command bench regenerates the tables and figures of the HyFD paper's
-// evaluation section (§10) against the synthetic dataset analogs. Each
-// measurement runs in a subprocess so per-run time limits (TL) and memory
-// limits (ML) are enforced the way the paper enforces them, and peak RSS
-// is measured from outside the measured process.
+// evaluation section (§10) against the synthetic dataset analogs, plus the
+// ranked and incremental experiments. Every job is one hyfd.Run call,
+// timed by internal/harness. Each measurement runs in a subprocess so
+// per-run time limits (TL) and memory limits (ML) are enforced the way the
+// paper enforces them, and peak RSS is measured from outside the measured
+// process.
 //
 // Usage:
 //
@@ -31,9 +33,13 @@ import (
 )
 
 func main() {
+	var all []string
+	for _, e := range harness.Experiments(harness.DefaultOptions()) {
+		all = append(all, e.ID)
+	}
 	var (
 		worker     = flag.Bool("worker", false, "internal: run one job read from argv and emit JSON")
-		exp        = flag.String("exp", "all", "experiments to run: all or comma list of fig6,fig7,table1,table2,table3,fig8,prep,dataset_reuse,ranked,incremental")
+		exp        = flag.String("exp", "all", "experiments to run: all or comma list of "+strings.Join(all, ","))
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-run time limit (TL)")
 		memLimitMB = flag.Int("memlimit-mb", 8192, "per-run memory limit in MB (ML)")
 		inprocess  = flag.Bool("inprocess", false, "run jobs in-process (TL enforced via context deadlines, no ML enforcement; useful without exec permissions)")
@@ -69,10 +75,8 @@ func main() {
 	applyIf(&opts.Fig8Rows, *fig8Rows)
 	applyIf(&opts.Threads, *threads)
 
-	var ids []string
-	if *exp == "all" {
-		ids = []string{"fig6", "fig7", "table1", "table2", "table3", "fig8", "prep", "dataset_reuse", "ranked", "incremental"}
-	} else {
+	ids := all
+	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 

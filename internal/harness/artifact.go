@@ -34,7 +34,7 @@ type Artifact struct {
 	SingleCPUCaveat bool     `json:"single_cpu_caveat"`
 	Results         []Result `json:"results"`
 	// Derived holds the experiment's condensed scalar metrics (see
-	// Experiment.Derive), e.g. the prep experiment's parallel speedups.
+	// Experiment.Derive), e.g. the ranked experiment's determinism bits.
 	Derived map[string]float64 `json:"derived,omitempty"`
 }
 

@@ -58,16 +58,15 @@ type Experiment struct {
 }
 
 // Experiments returns the six paper-reproduction experiments plus the
-// preprocessing-speedup, dataset-reuse, ranked-discovery, and incremental
-// maintenance probes.
+// ranked-discovery and incremental-maintenance probes.
 func Experiments(opts Options) []Experiment {
 	return []Experiment{
-		Fig6(opts), Fig7(opts), Table1(opts), Table2(opts), Table3(opts), Fig8(opts), Prep(opts), DatasetReuse(opts), Ranked(opts), Incremental(opts),
+		Fig6(opts), Fig7(opts), Table1(opts), Table2(opts), Table3(opts), Fig8(opts), Ranked(opts), Incremental(opts),
 	}
 }
 
 // ByID returns one experiment by its id (fig6, fig7, table1, table2,
-// table3, fig8, prep, dataset_reuse, ranked, incremental).
+// table3, fig8, ranked, incremental).
 func ByID(id string, opts Options) (Experiment, error) {
 	for _, e := range Experiments(opts) {
 		if e.ID == id {
@@ -276,143 +275,6 @@ func Fig8(opts Options) Experiment {
 				)
 			}
 			tw.write(w)
-		},
-	}
-}
-
-// prepThreadCounts are the worker counts the prep experiment sweeps; the
-// configured Options.Threads is appended when it extends the sweep.
-var prepThreadCounts = []int{1, 2, 4}
-
-// Prep — parallel-preprocessing speedup: PLI construction and record
-// inversion only, on a wide uniprot sample, at increasing worker counts.
-// The derived metrics record the speedup of every multi-threaded variant
-// over the single-threaded baseline (prep_speedup_<n>t); multi-core
-// hardware is required for the speedups to materialize.
-func Prep(opts Options) Experiment {
-	const rows, cols = 5000, 128
-	counts := append([]int{}, prepThreadCounts...)
-	if opts.Threads > counts[len(counts)-1] {
-		counts = append(counts, opts.Threads)
-	}
-	var jobs []Spec
-	for _, th := range counts {
-		jobs = append(jobs, Spec{
-			Algorithm: HyFDName, Dataset: "uniprot",
-			Rows: rows, Cols: cols, Threads: th, PrepOnly: true,
-		})
-	}
-	findPrep := func(results []Result, threads int) *Result {
-		for i := range results {
-			if results[i].Spec.Threads == threads && results[i].Err == "" {
-				return &results[i]
-			}
-		}
-		return nil
-	}
-	return Experiment{
-		ID: "prep",
-		Title: fmt.Sprintf("Preprocessing speedup: parallel PLI build on uniprot (%d rows, %d cols)",
-			rows, cols),
-		Jobs: jobs,
-		Render: func(w io.Writer, results []Result) {
-			tw := newTable("threads", "prep [s]", "speedup")
-			base := findPrep(results, 1)
-			for _, r := range results {
-				speedup := "-"
-				if base != nil && r.Seconds > 0 && r.Err == "" {
-					speedup = fmt.Sprintf("%.2fx", base.Seconds/r.Seconds)
-				}
-				tw.row(fmt.Sprint(r.Spec.Threads), timeCell(&r), speedup)
-			}
-			tw.write(w)
-		},
-		Derive: func(results []Result) map[string]float64 {
-			derived := map[string]float64{}
-			base := findPrep(results, 1)
-			if base == nil {
-				return derived
-			}
-			derived["prep_seconds_1t"] = base.Seconds
-			for _, r := range results {
-				if r.Spec.Threads <= 1 || r.Err != "" || r.Seconds <= 0 {
-					continue
-				}
-				derived[fmt.Sprintf("prep_seconds_%dt", r.Spec.Threads)] = r.Seconds
-				derived[fmt.Sprintf("prep_speedup_%dt", r.Spec.Threads)] = base.Seconds / r.Seconds
-			}
-			return derived
-		},
-	}
-}
-
-// reuseAlgorithms are the algorithms the dataset-reuse experiment
-// contrasts: the engine itself plus one representative per baseline family
-// (lattice traversal, agree sets, induction).
-var reuseAlgorithms = []string{HyFDName, "Tane", "Fdep"}
-
-// DatasetReuse — cold vs warm discovery: each algorithm runs once from the
-// raw relation (preprocessing included in the measured time) and once over
-// a pre-built Dataset (preprocessing excluded and reported separately).
-// The derived metrics record, per algorithm, both runtimes and the
-// cold/warm speedup (reuse_speedup_<alg>) — the fraction of a run that
-// Dataset sharing amortizes away.
-func DatasetReuse(opts Options) Experiment {
-	const rows = 2000
-	var jobs []Spec
-	for _, alg := range reuseAlgorithms {
-		jobs = append(jobs,
-			Spec{Algorithm: alg, Dataset: "ncvoter", Rows: rows, Metrics: alg == HyFDName},
-			Spec{Algorithm: alg, Dataset: "ncvoter", Rows: rows, Metrics: alg == HyFDName, Warm: true},
-		)
-	}
-	findRun := func(results []Result, alg string, warm bool) *Result {
-		for i := range results {
-			if results[i].Spec.Algorithm == alg && results[i].Spec.Warm == warm && results[i].Err == "" {
-				return &results[i]
-			}
-		}
-		return nil
-	}
-	metricName := func(alg string) string {
-		return strings.ToLower(strings.NewReplacer("-", "_", " ", "_").Replace(alg))
-	}
-	return Experiment{
-		ID:    "dataset_reuse",
-		Title: fmt.Sprintf("Dataset reuse: cold vs warm discovery on ncvoter (%d rows)", rows),
-		Jobs:  jobs,
-		Render: func(w io.Writer, results []Result) {
-			tw := newTable("algorithm", "cold [s]", "warm [s]", "prep excluded [s]", "speedup")
-			for _, alg := range reuseAlgorithms {
-				cold, warm := findRun(results, alg, false), findRun(results, alg, true)
-				if cold == nil || warm == nil {
-					continue
-				}
-				speedup := "-"
-				if warm.Seconds > 0 {
-					speedup = fmt.Sprintf("%.2fx", cold.Seconds/warm.Seconds)
-				}
-				tw.row(alg, timeCell(cold), timeCell(warm),
-					fmt.Sprintf("%.4f", warm.PrepSeconds), speedup)
-			}
-			tw.write(w)
-		},
-		Derive: func(results []Result) map[string]float64 {
-			derived := map[string]float64{}
-			for _, alg := range reuseAlgorithms {
-				cold, warm := findRun(results, alg, false), findRun(results, alg, true)
-				if cold == nil || warm == nil {
-					continue
-				}
-				name := metricName(alg)
-				derived["cold_seconds_"+name] = cold.Seconds
-				derived["warm_seconds_"+name] = warm.Seconds
-				derived["prep_seconds_"+name] = warm.PrepSeconds
-				if warm.Seconds > 0 {
-					derived["reuse_speedup_"+name] = cold.Seconds / warm.Seconds
-				}
-			}
-			return derived
 		},
 	}
 }
@@ -753,11 +615,4 @@ func (t *table) write(w io.Writer) {
 	for _, row := range t.rows {
 		line(row)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

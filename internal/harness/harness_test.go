@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -23,15 +24,34 @@ func TestExecuteInProcessHyFD(t *testing.T) {
 	}
 }
 
+// TestExecuteInProcessBaselineMatchesHyFD checks baselines by cover: a
+// baseline's cover digest must equal HyFD's on the same input. The flight
+// analog at 70 columns is wider than one 64-bit attribute word.
 func TestExecuteInProcessBaselineMatchesHyFD(t *testing.T) {
-	for _, alg := range []string{"Tane", "Fdep"} {
-		res := ExecuteInProcess(context.Background(), Spec{Algorithm: alg, Dataset: "iris", Rows: 150})
-		if res.Err != "" {
-			t.Fatalf("%s err: %s", alg, res.Err)
+	for _, c := range []struct {
+		alg  string
+		spec Spec
+	}{
+		{"Tane", Spec{Dataset: "iris", Rows: 150}},
+		{"Fdep", Spec{Dataset: "iris", Rows: 150}},
+		{"Fdep", Spec{Dataset: "flight", Rows: 100, Cols: 70}},
+	} {
+		c.spec.Digest = true
+		hy := c.spec
+		hy.Algorithm = HyFDName
+		want := ExecuteInProcess(context.Background(), hy)
+		if want.Err != "" {
+			t.Fatalf("HyFD on %s: %s", c.spec.Dataset, want.Err)
 		}
-		hy := ExecuteInProcess(context.Background(), Spec{Algorithm: HyFDName, Dataset: "iris", Rows: 150})
-		if res.FDs != hy.FDs {
-			t.Fatalf("%s found %d FDs, HyFD %d", alg, res.FDs, hy.FDs)
+		base := c.spec
+		base.Algorithm = c.alg
+		got := ExecuteInProcess(context.Background(), base)
+		if got.Err != "" {
+			t.Fatalf("%s on %s: %s", c.alg, c.spec.Dataset, got.Err)
+		}
+		if got.CoverDigest == "" || got.CoverDigest != want.CoverDigest {
+			t.Fatalf("%s on %s: %d FDs digest %q, HyFD %d FDs digest %q",
+				c.alg, c.spec.Dataset, got.FDs, got.CoverDigest, want.FDs, want.CoverDigest)
 		}
 	}
 }
@@ -110,7 +130,7 @@ func TestIncrementalMeasurementMetered(t *testing.T) {
 func TestExperimentsDefinitions(t *testing.T) {
 	opts := DefaultOptions()
 	exps := Experiments(opts)
-	if len(exps) != 10 {
+	if len(exps) != 8 {
 		t.Fatalf("%d experiments", len(exps))
 	}
 	ids := map[string]bool{}
@@ -120,7 +140,7 @@ func TestExperimentsDefinitions(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, id := range []string{"fig6", "fig7", "table1", "table2", "table3", "fig8", "prep", "dataset_reuse", "ranked", "incremental"} {
+	for _, id := range []string{"fig6", "fig7", "table1", "table2", "table3", "fig8", "ranked", "incremental"} {
 		if !ids[id] {
 			t.Fatalf("experiment %q missing", id)
 		}
@@ -191,44 +211,41 @@ func TestMaterializeScalesPastNaturalSize(t *testing.T) {
 	}
 }
 
-func TestPrepOnlyMeasuresPreprocessing(t *testing.T) {
-	res := ExecuteInProcess(context.Background(), Spec{
-		Algorithm: HyFDName, Dataset: "uniprot",
-		Rows: 300, Cols: 16, Threads: 4, PrepOnly: true,
-	})
-	if res.Err != "" {
-		t.Fatal(res.Err)
-	}
-	if res.Seconds <= 0 {
-		t.Fatalf("prep run measured %v seconds", res.Seconds)
-	}
-	if res.FDs != 0 || res.Stats != nil {
-		t.Fatalf("prep-only run produced discovery output: %+v", res)
-	}
-}
-
-func TestPrepExperimentDerivesSpeedups(t *testing.T) {
-	e, err := ByID("prep", DefaultOptions())
+// TestMeasureDoesNotStopTheWorld checks that peak-heap sampling leaves the
+// timed run alone: across one Measure of a run that takes at least 50 ms,
+// with the heap sampled every 2 ms, the runtime records at most one
+// stop-the-world pause outside garbage collection.
+func TestMeasureDoesNotStopTheWorld(t *testing.T) {
+	spec := Spec{Algorithm: HyFDName, Dataset: "ncvoter", Rows: 8000}
+	rel, err := Materialize(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Derive == nil {
-		t.Fatal("prep experiment has no Derive")
+	before := nonGCPauses()
+	res := Measure(context.Background(), spec, rel)
+	pauses := nonGCPauses() - before
+	if res.Err != "" {
+		t.Fatal(res.Err)
 	}
-	// Synthetic results: 2 threads twice as fast as 1.
-	results := []Result{
-		{Spec: Spec{Threads: 1, PrepOnly: true}, Seconds: 2.0},
-		{Spec: Spec{Threads: 2, PrepOnly: true}, Seconds: 1.0},
+	if res.Seconds < 0.05 {
+		t.Fatalf("run took %.3fs; the check needs at least 50 ms of sampling", res.Seconds)
 	}
-	d := e.Derive(results)
-	if d["prep_seconds_1t"] != 2.0 {
-		t.Fatalf("prep_seconds_1t = %v", d["prep_seconds_1t"])
+	if res.PeakHeap == 0 {
+		t.Fatal("no peak heap sampled")
 	}
-	if d["prep_speedup_2t"] != 2.0 {
-		t.Fatalf("prep_speedup_2t = %v", d["prep_speedup_2t"])
+	if pauses > 1 {
+		t.Fatalf("%d non-GC stop-the-world pauses during a %.3fs Measure, want at most 1", pauses, res.Seconds)
 	}
-	a := NewArtifact(e, results)
-	if a.Derived["prep_speedup_2t"] != 2.0 {
-		t.Fatalf("artifact derived = %v", a.Derived)
+}
+
+// nonGCPauses counts the stop-the-world pauses the runtime has recorded
+// outside garbage collection.
+func nonGCPauses() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
 	}
+	return n
 }
