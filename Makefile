@@ -1,12 +1,13 @@
 GO ?= go
 
-# Flags for the bench-json smoke run: scaled far down so CI finishes in
-# seconds, and written to .bench_json/ so the committed reference artifacts
-# in the repo root stay untouched; override BENCH_JSON_FLAGS for a
-# full-scale artifact run.
+# Flags for the bench-json smoke run: scaled down to 100-row tables and a
+# 5 s time limit, so a run takes about two minutes (117 s on a 2-CPU VM,
+# most of it the baseline cells that reach the time limit), and written to
+# .bench_json/ so the committed reference artifacts in the repo root stay
+# untouched; override BENCH_JSON_FLAGS for a full-scale artifact run.
 BENCH_JSON_FLAGS ?= -exp table1,ranked,incremental -inprocess -timeout 5s -table1-rows 100 -json-dir .bench_json
 
-.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler fuzz-smoke-csv serve-smoke
+.PHONY: all build vet lint lint-json test test-invariants race check bench bench-json bench-unit fuzz-smoke fuzz-smoke-ranked fuzz-smoke-incremental fuzz-smoke-validator fuzz-smoke-inductor fuzz-smoke-sampler fuzz-smoke-csv fuzz-smoke-lattice serve-smoke
 
 # Wall-clock budget of the bounded differential-fuzz smoke run.
 FUZZTIME ?= 30s
@@ -125,6 +126,14 @@ fuzz-smoke-sampler:
 # or the same error as the sequential encoding/csv reference.
 fuzz-smoke-csv:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relation
+
+# fuzz-smoke-lattice runs the lattice differential fuzzer: on fuzzed
+# relations (up to 8 columns and 64 rows, nulls under both semantics, LHS
+# bounds 0-3, a few g3 thresholds) every partition refinement must equal
+# direct grouping, and ucc and afd mode must equal brute-force enumeration,
+# g3 values included.
+fuzz-smoke-lattice:
+	$(GO) test -fuzz=FuzzLatticeDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
 
 # serve-smoke is the end-to-end daemon exercise: build hyfdd, start it,
 # register a CSV, run one job per mode (fd/afd/ucc/ranked), POST a delta

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hyfd"
 	"hyfd/internal/core"
 	"hyfd/internal/harness"
 	"hyfd/internal/pli"
@@ -230,5 +231,40 @@ func BenchmarkAblations(b *testing.B) {
 			}
 			b.ReportMetric(float64(comparisons), "comparisons")
 		})
+	}
+}
+
+// BenchmarkLatticeModes times warm ucc and afd (ε = 0.05) runs at one
+// thread on the three tables serve-stream reads, at their served sizes:
+// the partition products of ucc and afd mode are most of that workload's
+// engine time.
+func BenchmarkLatticeModes(b *testing.B) {
+	ctx := context.Background()
+	for _, spec := range []harness.Spec{
+		{Dataset: "abalone", Rows: 2000},
+		{Dataset: "breast-cancer", Rows: 699},
+		{Dataset: "chess", Rows: 2000},
+	} {
+		rel, err := harness.Materialize(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := hyfd.Prepare(ctx, rel, hyfd.PrepareOptions{Threads: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, req := range []hyfd.Request{
+			{Dataset: ds, Mode: hyfd.ModeUCC, Options: hyfd.Options{Threads: 1}},
+			{Dataset: ds, Mode: hyfd.ModeAFD, MaxError: 0.05, Options: hyfd.Options{Threads: 1}},
+		} {
+			b.Run(fmt.Sprintf("%s/%s", spec.Dataset, req.Mode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := hyfd.Run(ctx, req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hyfd"
+	"hyfd/internal/harness"
 )
 
 // syntheticRelation builds a random relation large enough that a full
@@ -179,6 +180,48 @@ func TestBaselineStatsAndMaxLhs(t *testing.T) {
 		}
 		if bounded.Stats == nil || bounded.Stats.Complete || bounded.Stats.MaxLhs != 1 {
 			t.Fatalf("%s: bounded stats = %+v", name, bounded.Stats)
+		}
+	}
+}
+
+// TestBaselineDeadlines: a deadline must bound every baseline, including
+// the phases that run partition products (TANE's key pruning and
+// apriori-gen) and minimal hitting sets (Dep-Miner, DFD). Each of these
+// runs takes several seconds to finish on its 100-row analog; each must
+// return an error wrapping context.DeadlineExceeded within its deadline
+// plus a small slack.
+func TestBaselineDeadlines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs each case up to its deadline")
+	}
+	const deadline, slack = 500 * time.Millisecond, 250 * time.Millisecond
+	cases := []struct{ algorithm, dataset string }{
+		{hyfd.AlgorithmTane, "uniprot"},
+		{hyfd.AlgorithmDepMiner, "horse"},
+		{hyfd.AlgorithmDepMiner, "uniprot"},
+		{hyfd.AlgorithmDepMiner, "flight"},
+		{hyfd.AlgorithmDfd, "horse"},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		rel, err := harness.Materialize(harness.Spec{Dataset: c.dataset, Rows: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := hyfd.Prepare(ctx, rel, hyfd.PrepareOptions{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runCtx, cancel := context.WithTimeout(ctx, deadline)
+		start := time.Now()
+		_, err = hyfd.Run(runCtx, hyfd.Request{Dataset: ds, Algorithm: c.algorithm, Options: hyfd.Options{Threads: 1}})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s on %s: err = %v, want context.DeadlineExceeded", c.algorithm, c.dataset, err)
+		}
+		if elapsed > deadline+slack {
+			t.Errorf("%s on %s: returned after %s, deadline %s", c.algorithm, c.dataset, elapsed, deadline)
 		}
 	}
 }

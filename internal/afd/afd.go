@@ -9,6 +9,7 @@ package afd
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"hyfd/internal/bitset"
@@ -33,36 +34,71 @@ func (a AFD) String() string {
 // computation walks the clusters of the LHS partition and keeps, per
 // cluster, the most frequent RHS value.
 func G3(ix *pli.Index, cache *pli.Cache, lhs bitset.Set, rhs int) float64 {
-	if ix.NumRows == 0 {
+	var c counter
+	return g3(c.violations(ix, cache.Partition(lhs), rhs, math.Inf(1)), ix.NumRows)
+}
+
+// counter counts the RHS cluster ids of one LHS cluster at a time in flat
+// scratch that it keeps between calls.
+type counter struct {
+	// counts is indexed by an RHS cluster id and is all zero between
+	// clusters; ids holds the current cluster's RHS cells.
+	counts, ids []int32
+}
+
+// violations returns the number of records to remove from the clusters of
+// part so that they agree on rhs: per cluster, all but the most frequent
+// RHS value. Records outside any cluster are unique in the LHS and never
+// violate. The count only grows from cluster to cluster, so it stops as
+// soon as its g3 exceeds maxError: a count whose g3 is within maxError is
+// exact.
+func (c *counter) violations(ix *pli.Index, part *pli.Partition, rhs int, maxError float64) int {
+	m, recs := ix.NumCols, ix.Records
+	if need := len(ix.Plis[rhs].Clusters); len(c.counts) < need {
+		c.counts = make([]int32, need)
+	}
+	counts, ids := c.counts, c.ids
+	violations := 0
+	for _, cluster := range part.Clusters {
+		// An RHS singleton is a group of one, so the largest group has at
+		// least one record.
+		maxCount := int32(1)
+		if len(cluster) == 2 {
+			if id := recs[int(cluster[0])*m+rhs]; id != pli.Singleton && id == recs[int(cluster[1])*m+rhs] {
+				maxCount = 2
+			}
+		} else {
+			ids = ids[:0]
+			for _, r := range cluster {
+				id := recs[int(r)*m+rhs]
+				ids = append(ids, id)
+				if id == pli.Singleton {
+					continue
+				}
+				counts[id]++
+				maxCount = max(maxCount, counts[id])
+			}
+			for _, id := range ids {
+				if id != pli.Singleton {
+					counts[id] = 0
+				}
+			}
+		}
+		violations += len(cluster) - int(maxCount)
+		if g3(violations, ix.NumRows) > maxError {
+			break
+		}
+	}
+	c.ids = ids
+	return violations
+}
+
+// g3 returns the g3 error of v violations among n records.
+func g3(v, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	part := cache.Partition(lhs)
-	// Records outside any cluster are unique in the LHS: they can never
-	// violate. Within a cluster, all but the most frequent RHS value must
-	// be removed.
-	violations := 0
-	counts := make(map[int32]int)
-	for _, cluster := range part.Clusters {
-		clear(counts)
-		maxCount := 0
-		singles := 0
-		for _, rec := range cluster {
-			cid := ix.Row(int(rec))[rhs]
-			if cid == pli.Singleton {
-				singles++ // a unique RHS value: a group of size 1
-				continue
-			}
-			counts[cid]++
-			if counts[cid] > maxCount {
-				maxCount = counts[cid]
-			}
-		}
-		if singles > 0 && maxCount == 0 {
-			maxCount = 1
-		}
-		violations += len(cluster) - maxCount
-	}
-	return float64(violations) / float64(ix.NumRows)
+	return float64(v) / float64(n)
 }
 
 // Options parameterizes approximate discovery.
@@ -78,7 +114,8 @@ type Options struct {
 // with g3 ≤ ε such that no proper subset of X satisfies the threshold.
 // Validity is upward-closed in the LHS (adding attributes never increases
 // g3), so a level-wise search with subset pruning enumerates exactly the
-// minimal ones. The dataset's null semantics apply. Its shared PLIs are
+// minimal ones; a candidate's g3 count stops as soon as it exceeds the
+// threshold. The dataset's null semantics apply. Its shared PLIs are
 // only read, so concurrent calls over one Dataset are race-clean.
 // Cancellation is checked once per lattice level and RHS attribute; a
 // canceled context returns an error wrapping ctx.Err() promptly instead of
@@ -94,6 +131,7 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 	}
 	ix := ds.Index()
 	cache := ds.NewCache()
+	var count counter
 
 	var out []AFD
 	for rhs := 0; rhs < m; rhs++ {
@@ -116,9 +154,10 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 				if dominated {
 					continue
 				}
-				if g3 := G3(ix, cache, lhs, rhs); g3 <= opts.MaxError {
+				v := count.violations(ix, cache.Partition(lhs), rhs, opts.MaxError)
+				if g := g3(v, ix.NumRows); g <= opts.MaxError {
 					found = append(found, lhs)
-					out = append(out, AFD{Lhs: lhs, Rhs: rhs, Error: g3})
+					out = append(out, AFD{Lhs: lhs, Rhs: rhs, Error: g})
 					continue
 				}
 				if lhs.Cardinality() >= maxLhs {

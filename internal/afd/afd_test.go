@@ -41,7 +41,7 @@ func zipCity(dirtyRows int) *relation.Relation {
 func TestG3(t *testing.T) {
 	rel := zipCity(4) // 44 rows, 4 dirty
 	ix := pli.NewIndex(rel, relation.NullEqualsNull)
-	cache := pli.NewCache(ix.Plis, ix.NumRows)
+	cache := pli.NewCache(ix)
 	g3 := G3(ix, cache, bitset.FromIndices(2, 0), 1)
 	want := 4.0 / 44.0
 	if g3 < want-1e-9 || g3 > want+1e-9 {
@@ -51,7 +51,7 @@ func TestG3(t *testing.T) {
 	// two zips), so check a trivial-ish exact case instead.
 	clean := zipCity(0)
 	ix = pli.NewIndex(clean, relation.NullEqualsNull)
-	cache = pli.NewCache(ix.Plis, ix.NumRows)
+	cache = pli.NewCache(ix)
 	if g := G3(ix, cache, bitset.FromIndices(2, 0), 1); g != 0 {
 		t.Fatalf("g3 of exact FD = %v", g)
 	}
@@ -109,7 +109,7 @@ func TestQuickG3MatchesNaive(t *testing.T) {
 			rel.AppendRow(row)
 		}
 		ix := pli.NewIndex(rel, relation.NullEqualsNull)
-		cache := pli.NewCache(ix.Plis, ix.NumRows)
+		cache := pli.NewCache(ix)
 		for trial := 0; trial < 8; trial++ {
 			lhs := bitset.New(cols)
 			for a := 0; a < cols; a++ {
@@ -211,7 +211,7 @@ func TestDiscoverMinimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := pli.NewIndex(rel, relation.NullEqualsNull)
-	cache := pli.NewCache(ix.Plis, ix.NumRows)
+	cache := pli.NewCache(ix)
 	for _, a := range afds {
 		if G3(ix, cache, a.Lhs, a.Rhs) > 0.05 {
 			t.Fatalf("reported AFD %v exceeds threshold", a)

@@ -30,7 +30,8 @@ func (*DepMiner) Name() string { return "Dep-Miner" }
 
 // Discover implements algorithms.Algorithm. The pair enumeration carries
 // its own cancellation checkpoints (see agreeset.Compute); the transversal
-// phase checks the context once per RHS attribute. A MaxLhsSize bound is
+// phase checks the context once per RHS attribute and inside every
+// enumeration (see hitset.MinimalTransversals). A MaxLhsSize bound is
 // applied to the finished result — the transversal enumeration is already
 // level-wise minimal, so dropping deep LHSs afterwards loses nothing.
 func (*DepMiner) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.Config) (*fd.Set, error) {
@@ -63,7 +64,11 @@ func (*DepMiner) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorith
 		for i, s := range maxSets {
 			cmax[i] = s.Flip().Without(a)
 		}
-		for _, lhs := range hitset.MinimalTransversals(m, cmax, a) {
+		lhss, err := hitset.MinimalTransversals(ctx, m, cmax, a)
+		if err != nil {
+			return nil, fmt.Errorf("Dep-Miner: discovery interrupted: %w", err)
+		}
+		for _, lhs := range lhss {
 			out.Add(fd.FD{Lhs: lhs, Rhs: a})
 		}
 	}

@@ -11,6 +11,7 @@ package dfd
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"hyfd/internal/algorithms"
@@ -159,7 +160,10 @@ func (w *walker) findMinimalDeps() ([]bitset.Set, error) {
 				return nil, err
 			}
 		}
-		seeds = w.nextSeeds()
+		var err error
+		if seeds, err = w.nextSeeds(); err != nil {
+			return nil, fmt.Errorf("Dfd: discovery interrupted: %w", err)
+		}
 	}
 	return w.minDeps, nil
 }
@@ -247,12 +251,15 @@ func (w *walker) recordMaxNonDep(node bitset.Set) {
 // dependencies once the maximal non-dependencies are complete. Any
 // transversal not yet recorded as a minimal dependency marks unexplored
 // lattice territory and becomes a new seed.
-func (w *walker) nextSeeds() []bitset.Set {
+func (w *walker) nextSeeds() ([]bitset.Set, error) {
 	complements := make([]bitset.Set, len(w.maxNonDeps))
 	for i, nd := range w.maxNonDeps {
 		complements[i] = nd.Flip().Without(w.rhs)
 	}
-	candidates := hitset.MinimalTransversals(w.m, complements, w.rhs)
+	candidates, err := hitset.MinimalTransversals(w.ctx, w.m, complements, w.rhs)
+	if err != nil {
+		return nil, err
+	}
 	var seeds []bitset.Set
 	for _, c := range candidates {
 		known := false
@@ -266,5 +273,5 @@ func (w *walker) nextSeeds() []bitset.Set {
 			seeds = append(seeds, c)
 		}
 	}
-	return seeds
+	return seeds, nil
 }

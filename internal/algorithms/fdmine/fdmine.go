@@ -40,7 +40,7 @@ func (*FDMine) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms
 	}
 	n := ds.NumRows()
 	plis := ds.Plis()
-	inter := pli.NewIntersector(n)
+	ref := pli.NewRefiner(ds.Index())
 
 	emptyError := 0
 	if n > 1 {
@@ -107,7 +107,7 @@ func (*FDMine) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms
 				if found.FindFdOrGeneral(el.attrs, a) {
 					continue // derivable: a generalization already found
 				}
-				xa := inter.Intersect(el.partition, pli.PartitionOf(plis[a]))
+				xa := ref.Refine(el.partition, a)
 				if xa.Error() == el.partition.Error() { // X → A valid
 					out.Add(fd.FD{Lhs: el.attrs, Rhs: a})
 					found.Add(el.attrs, a)
@@ -150,7 +150,7 @@ func (*FDMine) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms
 				}
 				next = append(next, &element{
 					attrs:     cand,
-					partition: inter.Intersect(el.partition, pli.PartitionOf(plis[b])),
+					partition: ref.Refine(el.partition, b),
 				})
 			}
 		}

@@ -7,22 +7,30 @@
 package hitset
 
 import (
+	"context"
+
 	"hyfd/internal/bitset"
 )
+
+// checkInterval is the number of candidates between two context checks:
+// a wide universe puts millions of candidates on one level.
+const checkInterval = 256
 
 // MinimalTransversals returns all minimal subsets of the n-attribute
 // universe (never containing exclude, pass -1 to allow all attributes) that
 // intersect every set in sets. Conventions: an empty collection has the
 // single transversal ∅; a collection containing an empty set has none.
-// Enumeration is level-wise in ascending-attribute canonical order.
-func MinimalTransversals(n int, sets []bitset.Set, exclude int) []bitset.Set {
+// Enumeration is level-wise in ascending-attribute canonical order. The
+// context is checked every checkInterval candidates; a canceled context
+// returns ctx.Err().
+func MinimalTransversals(ctx context.Context, n int, sets []bitset.Set, exclude int) ([]bitset.Set, error) {
 	for _, s := range sets {
 		if s.IsEmpty() {
-			return nil
+			return nil, nil
 		}
 	}
 	if len(sets) == 0 {
-		return []bitset.Set{bitset.New(n)}
+		return []bitset.Set{bitset.New(n)}, nil
 	}
 	// Attributes usable for covers.
 	usable := make([]int, 0, n)
@@ -63,9 +71,15 @@ func MinimalTransversals(n int, sets []bitset.Set, exclude int) []bitset.Set {
 	for _, a := range usable {
 		level = append(level, cand{attrs: bitset.FromIndices(n, a), last: a})
 	}
+	candidates := 0
 	for len(level) > 0 {
 		var next []cand
 		for _, c := range level {
+			if candidates++; candidates%checkInterval == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			if dominated(c.attrs) {
 				continue
 			}
@@ -82,5 +96,5 @@ func MinimalTransversals(n int, sets []bitset.Set, exclude int) []bitset.Set {
 		}
 		level = next
 	}
-	return found
+	return found, nil
 }

@@ -1,12 +1,41 @@
 package hitset
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"hyfd/internal/bitset"
 )
+
+// mt is MinimalTransversals without a deadline.
+func mt(n int, sets []bitset.Set, exclude int) []bitset.Set {
+	got, err := MinimalTransversals(context.Background(), n, sets, exclude)
+	if err != nil {
+		panic(err) // unreachable: the context is never canceled
+	}
+	return got
+}
+
+// TestCanceledEnumeration: a canceled context stops an enumeration whose
+// first level already holds more than checkInterval candidates.
+func TestCanceledEnumeration(t *testing.T) {
+	const n = 2 * checkInterval
+	low, high := bitset.New(n), bitset.New(n)
+	for a := 0; a < n/2; a++ {
+		low.Set(a)
+		high.Set(n/2 + a)
+	}
+	sets := []bitset.Set{low, high}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := MinimalTransversals(ctx, n, sets, -1)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("got %v, %v; want nil, context.Canceled", got, err)
+	}
+}
 
 func keys(sets []bitset.Set) map[string]bool {
 	m := make(map[string]bool, len(sets))
@@ -17,10 +46,10 @@ func keys(sets []bitset.Set) map[string]bool {
 }
 
 func TestConventions(t *testing.T) {
-	if got := MinimalTransversals(4, nil, -1); len(got) != 1 || !got[0].IsEmpty() {
+	if got := mt(4, nil, -1); len(got) != 1 || !got[0].IsEmpty() {
 		t.Fatalf("empty collection: %v", got)
 	}
-	if got := MinimalTransversals(4, []bitset.Set{bitset.New(4)}, -1); got != nil {
+	if got := mt(4, []bitset.Set{bitset.New(4)}, -1); got != nil {
 		t.Fatalf("collection with empty set: %v", got)
 	}
 }
@@ -31,9 +60,9 @@ func TestSimpleCovers(t *testing.T) {
 		bitset.FromIndices(4, 0, 1),
 		bitset.FromIndices(4, 1, 2),
 	}
-	got := keys(MinimalTransversals(4, sets, -1))
+	got := keys(mt(4, sets, -1))
 	if len(got) != 2 || !got[bitset.FromIndices(4, 1).Key()] || !got[bitset.FromIndices(4, 0, 2).Key()] {
-		t.Fatalf("transversals = %v", MinimalTransversals(4, sets, -1))
+		t.Fatalf("transversals = %v", mt(4, sets, -1))
 	}
 }
 
@@ -42,13 +71,13 @@ func TestExclude(t *testing.T) {
 		bitset.FromIndices(4, 0, 1),
 		bitset.FromIndices(4, 1, 2),
 	}
-	got := MinimalTransversals(4, sets, 1)
+	got := mt(4, sets, 1)
 	if len(got) != 1 || !got[0].Equal(bitset.FromIndices(4, 0, 2)) {
 		t.Fatalf("transversals excluding 1 = %v", got)
 	}
 	// Excluding an attribute can make the problem infeasible.
 	lone := []bitset.Set{bitset.FromIndices(3, 2)}
-	if got := MinimalTransversals(3, lone, 2); got != nil {
+	if got := mt(3, lone, 2); got != nil {
 		t.Fatalf("infeasible exclusion returned %v", got)
 	}
 }
@@ -121,7 +150,7 @@ func TestQuickAgainstBrute(t *testing.T) {
 		if r.Intn(2) == 0 {
 			exclude = r.Intn(n)
 		}
-		got := keys(MinimalTransversals(n, sets, exclude))
+		got := keys(mt(n, sets, exclude))
 		want := bruteTransversals(n, sets, exclude)
 		if len(got) != len(want) {
 			return false

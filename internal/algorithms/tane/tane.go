@@ -36,9 +36,11 @@ type element struct {
 }
 
 // Discover implements algorithms.Algorithm. The context is checked once
-// per lattice node; cancellation aborts the traversal with a wrapped
-// ctx.Err(). A MaxLhsSize bound additionally cuts the traversal off after
-// the level that can still contribute minimal FDs within the bound.
+// per lattice node in compute_dependencies and in the key pruning, and
+// every checkInterval candidates in apriori-gen; cancellation aborts the
+// traversal with a wrapped ctx.Err(). A MaxLhsSize bound additionally cuts
+// the traversal off after the level that can still contribute minimal FDs
+// within the bound.
 func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.Config) (*fd.Set, error) {
 	m := ds.NumCols()
 	out := fd.NewSet(m)
@@ -47,7 +49,7 @@ func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 	}
 	n := ds.NumRows()
 	plis := ds.Plis()
-	intersector := pli.NewIntersector(n)
+	ref := pli.NewRefiner(ds.Index())
 
 	// e(∅): the empty attribute set groups all records into one cluster.
 	emptyError := 0
@@ -117,6 +119,9 @@ func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 			if el.cplus.IsEmpty() {
 				continue
 			}
+			if err := algorithms.Canceled(ctx, "Tane"); err != nil {
+				return nil, err
+			}
 			if el.partition.Error() == 0 { // X is a (super)key
 				el.cplus.AndNot(el.attrs).ForEach(func(a int) bool {
 					// X → A is valid (X is a key); output it iff it is
@@ -133,8 +138,7 @@ func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 						if sub.IsEmpty() {
 							subAErr = pli.PartitionOf(plis[a]).Error()
 						} else {
-							part := intersector.Intersect(prevPart[sub.Key()], pli.PartitionOf(plis[a]))
-							subAErr = part.Error()
+							subAErr = ref.Refine(prevPart[sub.Key()], a).Error()
 						}
 						if prevErr[sub.Key()] == subAErr { // X\B → A valid
 							minimal = false
@@ -159,9 +163,12 @@ func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 			break
 		}
 		// apriori-gen: join nodes sharing all but their largest attribute;
-		// partitions of the next level come from intersecting the
-		// generating pair's partitions.
-		level = aprioriGen(kept, intersector)
+		// partitions of the next level refine the first of the generating
+		// pair by the second one's largest attribute.
+		var err error
+		if level, err = aprioriGen(ctx, kept, ref); err != nil {
+			return nil, err
+		}
 		levelNum++
 		prevErr = curErr
 		prevCplus = curCplus
@@ -170,12 +177,16 @@ func (*TANE) Discover(ctx context.Context, ds *dataset.Dataset, cfg algorithms.C
 	return algorithms.Truncate(out, cfg.MaxLhsSize), nil
 }
 
+// checkInterval is the number of apriori-gen candidates between two
+// context checks: a wide level joins millions of pairs.
+const checkInterval = 256
+
 // aprioriGen builds the next level: combine pairs that differ only in their
 // maximum attribute and keep combinations whose every ℓ-subset survived
-// pruning.
-func aprioriGen(level []*element, intersector *pli.Intersector) []*element {
+// pruning. The partition of X∪{a,b} refines π(X∪{a}) by b.
+func aprioriGen(ctx context.Context, level []*element, ref *pli.Refiner) ([]*element, error) {
 	if len(level) == 0 {
-		return nil
+		return nil, nil
 	}
 	present := make(map[string]*element, len(level))
 	for _, el := range level {
@@ -192,6 +203,7 @@ func aprioriGen(level []*element, intersector *pli.Intersector) []*element {
 		groups[key] = append(groups[key], el)
 	}
 	var next []*element
+	candidates := 0
 	for _, key := range order {
 		group := groups[key]
 		sort.Slice(group, func(i, j int) bool {
@@ -199,6 +211,11 @@ func aprioriGen(level []*element, intersector *pli.Intersector) []*element {
 		})
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
+				if candidates++; candidates%checkInterval == 0 {
+					if err := algorithms.Canceled(ctx, "Tane"); err != nil {
+						return nil, err
+					}
+				}
 				union := group[i].attrs.Or(group[j].attrs)
 				// All ℓ-subsets must exist in the pruned level.
 				ok := true
@@ -214,12 +231,12 @@ func aprioriGen(level []*element, intersector *pli.Intersector) []*element {
 				}
 				next = append(next, &element{
 					attrs:     union,
-					partition: intersector.Intersect(group[i].partition, group[j].partition),
+					partition: ref.Refine(group[i].partition, lastAttr(group[j].attrs)),
 				})
 			}
 		}
 	}
-	return next
+	return next, nil
 }
 
 func lastAttr(s bitset.Set) int {

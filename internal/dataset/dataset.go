@@ -138,12 +138,12 @@ func (d *Dataset) NumRows() int { return d.ix.NumRows }
 // NumCols returns the number of attributes of the prepared relation.
 func (d *Dataset) NumCols() int { return d.ix.NumCols }
 
-// NewCache returns a fresh partition-intersection cache over the shared
-// PLIs. A pli.Cache is not safe for concurrent use and memoizes mutable
-// per-run state, so every run must create its own; the PLIs themselves stay
-// read-only (intersection allocates new partitions).
+// NewCache returns a fresh partition cache over the shared PLIs and
+// records. A pli.Cache is not safe for concurrent use and memoizes mutable
+// per-run state, so every run must create its own; the PLIs and records
+// themselves stay read-only (refinement allocates new partitions).
 func (d *Dataset) NewCache() *pli.Cache {
-	return pli.NewCache(d.ix.Plis, d.ix.NumRows)
+	return pli.NewCache(d.ix)
 }
 
 // PreprocessingTime returns the wall-clock time Prepare spent building the

@@ -4,30 +4,32 @@ import (
 	"hyfd/internal/bitset"
 )
 
-// Cache memoizes stripped partitions of attribute sets, building them by
-// intersecting along canonical prefixes. The lattice-traversal baselines
-// that compute partitions on demand (FUN's cardinality counter, DFD's
-// random walk) share it. Not safe for concurrent use.
+// Cache memoizes stripped partitions of attribute sets, building each one
+// by refining the partition of its canonical prefix. The lattice-traversal
+// baselines that compute partitions on demand (FUN's cardinality counter,
+// DFD's random walk), the ucc and afd searches and the validator's
+// intersection ablation share it. Not safe for concurrent use.
 type Cache struct {
 	plis  []*PLI
-	inter *Intersector
+	ref   *Refiner
 	parts map[string]*Partition
 	rows  int
 }
 
-// NewCache returns a partition cache over the given single-attribute PLIs.
-func NewCache(plis []*PLI, numRows int) *Cache {
+// NewCache returns a partition cache over the index's PLIs and records.
+func NewCache(ix *Index) *Cache {
 	return &Cache{
-		plis:  plis,
-		inter: NewIntersector(numRows),
+		plis:  ix.Plis,
+		ref:   NewRefiner(ix),
 		parts: make(map[string]*Partition),
-		rows:  numRows,
+		rows:  ix.NumRows,
 	}
 }
 
 // Partition returns the stripped partition of the attribute set, computing
-// and caching it (and its canonical prefixes) as needed. The empty set's
-// partition is the single cluster of all records.
+// and caching it (and its canonical prefixes) as needed: π(X) is
+// Refine(π(X \ {max X}), max X). The empty set's partition is the single
+// cluster of all records.
 func (c *Cache) Partition(attrs bitset.Set) *Partition {
 	key := attrs.Key()
 	if p, ok := c.parts[key]; ok {
@@ -48,8 +50,8 @@ func (c *Cache) Partition(attrs bitset.Set) *Partition {
 	case 1:
 		p = PartitionOf(c.plis[idx[0]])
 	default:
-		p = c.Partition(attrs.Without(idx[len(idx)-1]))
-		p = c.inter.Intersect(p, PartitionOf(c.plis[idx[len(idx)-1]]))
+		last := idx[len(idx)-1]
+		p = c.ref.Refine(c.Partition(attrs.Without(last)), last)
 	}
 	c.parts[key] = p
 	return p

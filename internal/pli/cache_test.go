@@ -27,9 +27,7 @@ func cacheRelation(r *rand.Rand, rows, cols, domain int) *relation.Relation {
 func TestCachePartitionMatchesDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	rel := cacheRelation(r, 60, 5, 3)
-	plis := BuildAll(rel, relation.NullEqualsNull)
-	cache := NewCache(plis, rel.NumRows())
-	in := NewIntersector(rel.NumRows())
+	cache := NewCache(NewIndex(rel, relation.NullEqualsNull))
 	for trial := 0; trial < 20; trial++ {
 		attrs := bitset.New(5)
 		for a := 0; a < 5; a++ {
@@ -38,11 +36,9 @@ func TestCachePartitionMatchesDirect(t *testing.T) {
 			}
 		}
 		got := cache.Partition(attrs)
-		// Direct: left-to-right intersection.
+		// Direct: group the rows by their values on the set.
 		idx := attrs.Indices()
-		var want *Partition
-		switch len(idx) {
-		case 0:
+		if len(idx) == 0 {
 			if got.NumRows != rel.NumRows() {
 				t.Fatalf("∅ partition rows = %d", got.NumRows)
 			}
@@ -50,15 +46,20 @@ func TestCachePartitionMatchesDirect(t *testing.T) {
 				t.Fatalf("∅ partition size = %d", got.Size())
 			}
 			continue
-		default:
-			want = PartitionOf(plis[idx[0]])
-			for _, a := range idx[1:] {
-				want = in.Intersect(want, PartitionOf(plis[a]))
+		}
+		combined := make([]string, rel.NumRows())
+		for i, row := range rel.Rows {
+			for _, a := range idx {
+				combined[i] += row[a] + "\x01"
 			}
 		}
+		want := PartitionOf(Build(0, columnRows(0, combined), relation.NullEqualsNull))
 		if got.Error() != want.Error() || got.Size() != want.Size() {
 			t.Fatalf("cache partition of %v: err %d size %d, want err %d size %d",
 				attrs, got.Error(), got.Size(), want.Error(), want.Size())
+		}
+		if normalize(got) != normalize(want) {
+			t.Fatalf("cache partition of %v groups other records than the direct grouping", attrs)
 		}
 	}
 	if cache.Size() == 0 {
@@ -76,8 +77,7 @@ func TestCacheCard(t *testing.T) {
 	rel.AppendRow([]string{"x", "1"})
 	rel.AppendRow([]string{"x", "2"})
 	rel.AppendRow([]string{"y", "1"})
-	plis := BuildAll(rel, relation.NullEqualsNull)
-	cache := NewCache(plis, 3)
+	cache := NewCache(NewIndex(rel, relation.NullEqualsNull))
 	if got := cache.Card(bitset.New(2)); got != 1 {
 		t.Fatalf("card(∅) = %d", got)
 	}
@@ -88,7 +88,7 @@ func TestCacheCard(t *testing.T) {
 		t.Fatalf("card(AB) = %d", got)
 	}
 	// Empty relation.
-	empty := NewCache(BuildAll(relation.New("e", []string{"A"}), relation.NullEqualsNull), 0)
+	empty := NewCache(NewIndex(relation.New("e", []string{"A"}), relation.NullEqualsNull))
 	if got := empty.Card(bitset.New(1)); got != 0 {
 		t.Fatalf("card(∅) on empty relation = %d", got)
 	}

@@ -36,3 +36,25 @@ func assertStripped(p *PLI) {
 	invariant.Assert(covered+singletons == p.NumRows,
 		"pli attr %d: %d covered records + %d singletons != %d rows", p.Attr, covered, singletons, p.NumRows)
 }
+
+// assertPartition verifies under -tags hyfdinvariants that a product is
+// stripped: every cluster has at least two records, listed in strictly
+// ascending order, all in range, and no record lies in two clusters.
+func assertPartition(p *Partition) {
+	seen := make(map[int32]bool)
+	for ci, cluster := range p.Clusters {
+		invariant.Assert(len(cluster) >= 2,
+			"partition: cluster %d has size %d; stripped partitions keep only clusters of size >= 2", ci, len(cluster))
+		prev := int32(-1)
+		for _, r := range cluster {
+			invariant.Assert(r >= 0 && int(r) < p.NumRows,
+				"partition: record id %d out of range [0,%d)", r, p.NumRows)
+			invariant.Assert(r > prev,
+				"partition: cluster %d not in strictly ascending record order", ci)
+			invariant.Assert(!seen[r],
+				"partition: record %d appears in two clusters", r)
+			seen[r] = true
+			prev = r
+		}
+	}
+}

@@ -1,20 +1,15 @@
 package pli
 
+import "hyfd/internal/invariant"
+
 // Partition is a stripped partition over an arbitrary attribute set. The
-// lattice-traversal baselines (TANE, FUN, FD_Mine, DFD) build partitions of
-// growing attribute sets by pairwise intersection; HyFD itself deliberately
-// avoids these intersections (§8) but still validates against the
-// single-attribute partitions.
+// lattice-traversal baselines (TANE, FUN, FD_Mine, DFD) and the ucc and afd
+// searches build partitions of growing attribute sets by refinement; HyFD
+// itself deliberately avoids these products (§8) but still validates
+// against the single-attribute partitions.
 type Partition struct {
 	Clusters [][]int32
 	NumRows  int
-}
-
-// probeCell is one record's entry in the Intersector's probe table: its
-// cluster in the left operand, valid only under the current stamp.
-type probeCell struct {
-	cluster int32
-	stamp   int32
 }
 
 // PartitionOf converts a single-attribute PLI into a Partition. Cluster
@@ -48,52 +43,106 @@ func (p *Partition) RefinesConstant() bool {
 	return len(p.Clusters) == 1 && len(p.Clusters[0]) == p.NumRows
 }
 
-// Intersector intersects stripped partitions using a reusable probe table,
-// the standard TANE product algorithm. It is not safe for concurrent use;
-// create one per goroutine.
-type Intersector struct {
-	probe []probeCell
-	stamp int32
+// Refiner computes partition products through the PLI-compressed records:
+// it splits every cluster of π(X) by the records' cluster ids in one more
+// attribute, so a product costs one pass over π(X) and never reads the
+// other operand's clusters. It keeps its scratch between calls and is not
+// safe for concurrent use; create one per goroutine.
+type Refiner struct {
+	ix *Index
+	// counts is indexed by a cluster id of the refining attribute. It is
+	// all zero between clusters: each cluster resets the ids it touched.
+	counts []int32
+	// ids holds the current cluster's cell ids, touched the ids it counted
+	// in first-record order, flat the retained groups of the product so
+	// far, back to back, and ends the end offset of each group in flat.
+	ids, touched, flat, ends []int32
 }
 
-// NewIntersector returns an Intersector for relations with numRows records.
-func NewIntersector(numRows int) *Intersector {
-	return &Intersector{probe: make([]probeCell, numRows)}
+// NewRefiner returns a Refiner over the index's records.
+func NewRefiner(ix *Index) *Refiner {
+	widest := 0
+	for _, p := range ix.Plis {
+		widest = max(widest, len(p.Clusters))
+	}
+	return &Refiner{ix: ix, counts: make([]int32, widest)}
 }
 
-// Intersect returns the stripped partition π_a ∩ π_b, grouping records that
-// co-occur in a cluster of both inputs.
-func (ix *Intersector) Intersect(a, b *Partition) *Partition {
-	// Stamp-mark records of a with their a-cluster id; then walk b's
-	// clusters and group members by a-cluster.
-	ix.stamp++
-	stamp := ix.stamp
-	for cid, cluster := range a.Clusters {
+// Refine returns π(X ∪ {a}) given p = π(X): within every cluster of p, the
+// records that share a cluster of attribute a. A record whose value is
+// unique in a (Singleton) is a singleton of the product and is skipped.
+// The product lists its clusters by parent cluster first, then by first
+// record, each in ascending record order, in one exact-size array that the
+// clusters slice with capped capacity. The cost is O(||p||), and p is only
+// read.
+func (rf *Refiner) Refine(p *Partition, a int) *Partition {
+	m, recs := rf.ix.NumCols, rf.ix.Records
+	counts := rf.counts
+	flat, ends, ids, touched := rf.flat[:0], rf.ends[:0], rf.ids, rf.touched
+	for _, cluster := range p.Clusters {
+		if len(cluster) == 2 {
+			// A pair survives whole or not at all.
+			if id := recs[int(cluster[0])*m+a]; id != Singleton && id == recs[int(cluster[1])*m+a] {
+				flat = append(flat, cluster[0], cluster[1])
+				ends = append(ends, int32(len(flat)))
+			}
+			continue
+		}
+		ids, touched = ids[:0], touched[:0]
 		for _, r := range cluster {
-			ix.probe[r] = probeCell{cluster: int32(cid), stamp: stamp}
+			id := recs[int(r)*m+a]
+			ids = append(ids, id)
+			if id == Singleton {
+				continue
+			}
+			if counts[id] == 0 {
+				touched = append(touched, id)
+			}
+			counts[id]++
+		}
+		// Turn each count of at least two into its group's write offset
+		// in flat, plus one; a group of one gets 0 and is not written.
+		base := int32(len(flat))
+		next := base
+		for _, id := range touched {
+			if c := counts[id]; c >= 2 {
+				counts[id] = next + 1
+				next += c
+				ends = append(ends, next)
+			} else {
+				counts[id] = 0
+			}
+		}
+		if next > base {
+			flat = append(flat, make([]int32, next-base)...)
+			for i, id := range ids {
+				if id == Singleton {
+					continue
+				}
+				if w := counts[id]; w > 0 {
+					flat[w-1] = cluster[i]
+					counts[id] = w + 1
+				}
+			}
+		}
+		for _, id := range touched {
+			counts[id] = 0
 		}
 	}
-	out := &Partition{NumRows: a.NumRows}
-	groups := make(map[int32][]int32)
-	var keys []int32 // first-seen order keeps the result deterministic
-	for _, cluster := range b.Clusters {
-		for _, r := range cluster {
-			cell := ix.probe[r]
-			if cell.stamp != stamp {
-				continue // r singleton in a
-			}
-			if _, ok := groups[cell.cluster]; !ok {
-				keys = append(keys, cell.cluster)
-			}
-			groups[cell.cluster] = append(groups[cell.cluster], r)
+	rf.flat, rf.ends, rf.ids, rf.touched = flat, ends, ids, touched
+	out := &Partition{NumRows: p.NumRows}
+	if len(ends) > 0 {
+		exact := make([]int32, len(flat))
+		copy(exact, flat)
+		out.Clusters = make([][]int32, len(ends))
+		start := int32(0)
+		for i, end := range ends {
+			out.Clusters[i] = exact[start:end:end]
+			start = end
 		}
-		for _, key := range keys {
-			if g := groups[key]; len(g) > 1 {
-				out.Clusters = append(out.Clusters, g)
-			}
-			delete(groups, key)
-		}
-		keys = keys[:0]
+	}
+	if invariant.Enabled {
+		assertPartition(out)
 	}
 	return out
 }

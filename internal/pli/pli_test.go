@@ -142,11 +142,19 @@ func TestPartitionErrorAndConstant(t *testing.T) {
 	}
 }
 
-func TestIntersectPaperExample(t *testing.T) {
+// twoColumnIndex indexes the relation of columns a and b.
+func twoColumnIndex(a, b []string) *Index {
+	rel := relation.New("ab", []string{"A", "B"})
+	for i := range a {
+		rel.AppendRow([]string{a[i], b[i]})
+	}
+	return NewIndex(rel, relation.NullEqualsNull)
+}
+
+func TestRefinePaperExample(t *testing.T) {
 	rel := classRelation()
-	plis := BuildAll(rel, relation.NullEqualsNull)
-	ix := NewIntersector(rel.NumRows())
-	prod := ix.Intersect(PartitionOf(plis[0]), PartitionOf(plis[1]))
+	ix := NewIndex(rel, relation.NullEqualsNull)
+	prod := NewRefiner(ix).Refine(PartitionOf(ix.Plis[0]), 1)
 	// π{Teacher,Subject} = {{0,4}} (paper: {{1,5}} 1-based).
 	if len(prod.Clusters) != 1 {
 		t.Fatalf("product clusters = %v", prod.Clusters)
@@ -158,7 +166,7 @@ func TestIntersectPaperExample(t *testing.T) {
 	}
 }
 
-func TestIntersectCommutes(t *testing.T) {
+func TestRefineCommutes(t *testing.T) {
 	seed := int64(42)
 	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 25; trial++ {
@@ -169,18 +177,42 @@ func TestIntersectCommutes(t *testing.T) {
 			colA[i] = string(rune('a' + r.Intn(4)))
 			colB[i] = string(rune('a' + r.Intn(4)))
 		}
-		pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
-		pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
-		in := NewIntersector(n)
-		ab := in.Intersect(pa, pb)
-		ba := in.Intersect(pb, pa)
+		ix := twoColumnIndex(colA, colB)
+		ref := NewRefiner(ix)
+		ab := ref.Refine(PartitionOf(ix.Plis[0]), 1)
+		ba := ref.Refine(PartitionOf(ix.Plis[1]), 0)
 		if ab.Error() != ba.Error() || ab.Size() != ba.Size() || len(ab.Clusters) != len(ba.Clusters) {
-			t.Fatalf("trial %d: intersection not commutative: %v vs %v", trial, ab, ba)
+			t.Fatalf("trial %d: refinement not commutative: %v vs %v", trial, ab, ba)
 		}
 		// Compare normalized cluster sets.
 		if normalize(ab) != normalize(ba) {
 			t.Fatalf("trial %d: clusters differ", trial)
 		}
+	}
+}
+
+// TestRefineOrderAndCapacity pins the documented layout of a product: its
+// clusters are listed by parent cluster, then by first record, each
+// ascending, and an append to one cluster cannot overwrite the next.
+func TestRefineOrderAndCapacity(t *testing.T) {
+	// A groups {0,2,3,5,6} and {1,4,7}; B splits them into {0,5} {2,3,6}
+	// and {1,4}, with 7 a singleton in B.
+	colA := []string{"x", "y", "x", "x", "y", "x", "x", "y"}
+	colB := []string{"p", "q", "r", "r", "q", "p", "r", "s"}
+	ix := twoColumnIndex(colA, colB)
+	prod := NewRefiner(ix).Refine(PartitionOf(ix.Plis[0]), 1)
+	want := [][]int32{{0, 5}, {2, 3, 6}, {1, 4}}
+	if !reflect.DeepEqual(prod.Clusters, want) {
+		t.Fatalf("clusters = %v, want %v", prod.Clusters, want)
+	}
+	for i, c := range prod.Clusters {
+		if cap(c) != len(c) {
+			t.Fatalf("cluster %d has capacity %d beyond its length %d", i, cap(c), len(c))
+		}
+	}
+	_ = append(prod.Clusters[0], 99)
+	if !reflect.DeepEqual(prod.Clusters[1], want[1]) {
+		t.Fatalf("an append to cluster 0 overwrote cluster 1: %v", prod.Clusters[1])
 	}
 }
 
@@ -203,9 +235,9 @@ func normalize(p *Partition) string {
 	return out
 }
 
-// TestQuickIntersectAgainstDirect checks the intersection against grouping
-// the raw value pairs directly.
-func TestQuickIntersectAgainstDirect(t *testing.T) {
+// TestQuickRefineAgainstDirect checks the refinement against grouping the
+// raw value pairs directly.
+func TestQuickRefineAgainstDirect(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 10 + r.Intn(60)
@@ -215,9 +247,8 @@ func TestQuickIntersectAgainstDirect(t *testing.T) {
 			colA[i] = string(rune('a' + r.Intn(5)))
 			colB[i] = string(rune('a' + r.Intn(5)))
 		}
-		pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
-		pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
-		prod := NewIntersector(n).Intersect(pa, pb)
+		ix := twoColumnIndex(colA, colB)
+		prod := NewRefiner(ix).Refine(PartitionOf(ix.Plis[0]), 1)
 		// Direct: group by (a,b) pair.
 		pairCol := make([]string, n)
 		for i := 0; i < n; i++ {
@@ -366,7 +397,11 @@ func BenchmarkBuildPLI(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersect(b *testing.B) {
+// refineSink keeps BenchmarkRefine's products live.
+var refineSink *Partition
+
+// BenchmarkRefine refines one 20-value column of 10,000 rows by another.
+func BenchmarkRefine(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	n := 10000
 	colA := make([]string, n)
@@ -375,12 +410,12 @@ func BenchmarkIntersect(b *testing.B) {
 		colA[i] = string(rune('a' + r.Intn(20)))
 		colB[i] = string(rune('a' + r.Intn(20)))
 	}
-	pa := PartitionOf(Build(0, columnRows(0, colA), relation.NullEqualsNull))
-	pb := PartitionOf(Build(1, columnRows(1, colB), relation.NullEqualsNull))
-	in := NewIntersector(n)
+	ix := twoColumnIndex(colA, colB)
+	pa := PartitionOf(ix.Plis[0])
+	ref := NewRefiner(ix)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.Intersect(pa, pb)
+		refineSink = ref.Refine(pa, 1)
 	}
 }

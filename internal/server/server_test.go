@@ -144,7 +144,7 @@ const tinyCSV = "A,B,C\n1,x,p\n2,x,q\n3,y,p\n4,y,q\n"
 func slowCSV() string {
 	r := rand.New(rand.NewSource(11))
 	var b strings.Builder
-	cols := 10
+	cols := 12
 	for j := 0; j < cols; j++ {
 		if j > 0 {
 			b.WriteByte(',')

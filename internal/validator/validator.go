@@ -268,7 +268,7 @@ type refiner interface {
 func (v *Validator) refiners(n int) []refiner {
 	for len(v.checkers) < n {
 		if v.intersect {
-			v.checkers = append(v.checkers, &intersectChecker{ix: v.ix, cache: pli.NewCache(v.ix.Plis, v.ix.NumRows)})
+			v.checkers = append(v.checkers, &intersectChecker{ix: v.ix, cache: pli.NewCache(v.ix)})
 		} else {
 			v.checkers = append(v.checkers, newChecker(v.ix))
 		}
