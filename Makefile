@@ -48,7 +48,8 @@ test:
 
 # test-invariants re-runs the suite with the runtime assertion layer armed
 # (internal/invariant): fdtree, pli, and validator self-check their
-# structural contracts after every mutation.
+# structural contracts, the FDTree along every mutated path and as a whole
+# after every induction batch and validation level.
 test-invariants:
 	$(GO) test -tags hyfdinvariants ./...
 
@@ -95,12 +96,16 @@ fuzz-smoke-ranked:
 fuzz-smoke-incremental:
 	$(GO) test -fuzz=FuzzIncrementalDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
 
-# fuzz-smoke-validator runs the Phase 2 differential fuzzer: the validator,
-# started from the agree sets of a fuzzed subset of record pairs and run to
-# completion, must leave exactly the brute-force cover, under both null
-# semantics and two thread counts.
+# fuzz-smoke-validator runs the two Phase 2 differential fuzzers, each for
+# FUZZTIME: the validator, started from the agree sets of a fuzzed subset of
+# record pairs and run to completion, must leave exactly the brute-force
+# cover (root package), and its prefix-partition check must report, run by
+# run and level by level, what the direct check of every node reports
+# (internal/validator); both under both null semantics and two thread
+# counts.
 fuzz-smoke-validator:
 	$(GO) test -fuzz=FuzzValidatorDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
+	$(GO) test -fuzz=FuzzValidatorStack -fuzztime=$(FUZZTIME) -run '^$$' ./internal/validator
 
 # fuzz-smoke-inductor runs the induction differential fuzzer: Update, which
 # walks the FDTree once per agree set, must leave the same FDs and node

@@ -429,8 +429,8 @@ func progressObserver(w *os.File, start time.Time) hyfd.Observer {
 			fmt.Fprintf(w, "phase switch #%d: %s -> %s\n", ev.Switches, ev.From, ev.To)
 		case hyfd.ValidationLevel:
 			validations += int64(ev.Validations)
-			fmt.Fprintf(w, "validation level %d: %d candidates, %d valid, %d invalid in %s%s\n",
-				ev.Level, ev.Candidates, ev.Valid, ev.Invalid,
+			fmt.Fprintf(w, "validation level %d: %d candidates, %d valid, %d invalid, %d refinements, %d fallbacks in %s%s\n",
+				ev.Level, ev.Candidates, ev.Valid, ev.Invalid, ev.Refinements, ev.Fallbacks,
 				ev.Duration.Round(time.Millisecond), rate(validations, "val/s"))
 		case hyfd.GuardianPrune:
 			fmt.Fprintf(w, "memory guardian: results pruned to LHS size <= %d (intervention #%d)\n",

@@ -2,8 +2,8 @@
 // level-wise, apriori-gen driven traversal of the attribute-set lattice
 // that validates FD candidates through stripped-partition errors and prunes
 // with C⁺ candidate sets and (super)key pruning. TANE is the paper's
-// archetypal row-efficient baseline; its hierarchical partition
-// intersections are precisely what HyFD's direct validation avoids.
+// archetypal row-efficient baseline; HyFD's validation avoids its cache of
+// hierarchical partition intersections and its LHS ∪ {A} partitions.
 package tane
 
 import (

@@ -67,8 +67,9 @@ type Config struct {
 	// NoSuggestions stops Phase 2 from feeding violating record pairs back
 	// into Phase 1.
 	NoSuggestions bool
-	// IntersectionValidation replaces the direct refinement checks of §8
-	// with TANE-style hierarchical PLI intersections.
+	// IntersectionValidation replaces the validator's refinement checks
+	// (§8) with TANE-style hierarchical PLI intersections through a
+	// partition cache.
 	IntersectionValidation bool
 }
 

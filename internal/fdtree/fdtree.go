@@ -221,7 +221,7 @@ func (t *Tree) clearCovered(n *node, lhs, rhss bitset.Set, from int) bool {
 func (t *Tree) Remove(lhs bitset.Set, rhs int) bool {
 	removed := t.remove(t.root, lhs, 0, rhs)
 	if invariant.Enabled && removed {
-		t.assertConsistent("Remove")
+		t.assertPathRepaired(lhs, rhs)
 	}
 	return removed
 }
@@ -351,7 +351,7 @@ func (t *Tree) SetMaxLhs(maxLhs int) {
 	if shrink {
 		t.prune(t.root, 0)
 		if invariant.Enabled {
-			t.assertConsistent("SetMaxLhs")
+			t.AssertConsistent("SetMaxLhs")
 		}
 	}
 }

@@ -16,8 +16,11 @@ import (
 //   - after Remove, no prunable husk survives: a non-root leaf always
 //     carries at least one summary bit.
 //
-// Add runs a cheap path-local check; Remove and SetMaxLhs, which repair
-// summaries and prune, re-verify the whole tree.
+// Add and Remove run cheap path-local checks, so armed runs stay linear in
+// the number of mutations; SetMaxLhs, which prunes everywhere, re-verifies
+// the whole tree, and so do the engine's batch boundaries through
+// AssertConsistent: the end of every Inductor.Update and of every
+// validation level.
 
 // assertPathMarked verifies, after a successful Add of lhs → rhs, that every
 // node along the path advertises rhs in its subtree summary and the terminal
@@ -33,9 +36,28 @@ func (t *Tree) assertPathMarked(lhs bitset.Set, rhs int) {
 	invariant.Assert(n.rhsFds.Test(rhs), "Add: terminal node does not carry rhs %d", rhs)
 }
 
-// assertConsistent verifies the whole-tree contract above. op names the
-// mutation for the violation report.
-func (t *Tree) assertConsistent(op string) {
+// assertPathRepaired verifies, after a successful Remove of lhs → rhs, the
+// contract above on the removed path: every node that survives on it, and
+// the terminal node no longer carries rhs.
+func (t *Tree) assertPathRepaired(lhs bitset.Set, rhs int) {
+	n, depth := t.root, 0
+	for a := lhs.NextSet(0); ; a = lhs.NextSet(a + 1) {
+		t.assertLocal(n, depth, "Remove")
+		if a < 0 {
+			invariant.Assert(!n.rhsFds.Test(rhs), "Remove: terminal node still carries rhs %d", rhs)
+			return
+		}
+		if n = n.children[a]; n == nil {
+			return // the rest of the path was pruned
+		}
+		depth++
+	}
+}
+
+// AssertConsistent verifies the whole-tree contract above; op names the
+// mutation or batch for the violation report. It walks every node, so
+// callers run it at batch boundaries, guarded by invariant.Enabled.
+func (t *Tree) AssertConsistent(op string) {
 	count := 0
 	t.assertNode(t.root, 0, op, &count)
 	invariant.Assert(count == t.nodeCount, "%s: nodeCount %d does not match %d allocated nodes",
@@ -44,6 +66,18 @@ func (t *Tree) assertConsistent(op string) {
 
 func (t *Tree) assertNode(n *node, depth int, op string, count *int) {
 	*count++
+	t.assertLocal(n, depth, op)
+	for _, c := range n.children {
+		if c != nil {
+			t.assertNode(c, depth+1, op, count)
+		}
+	}
+}
+
+// assertLocal verifies the contract at one node: its depth is within the
+// bound, its summary covers its own RHSs and its children's summaries, and
+// a non-root leaf is no prunable husk.
+func (t *Tree) assertLocal(n *node, depth int, op string) {
 	invariant.Assert(depth <= t.maxLhs, "%s: node at depth %d exceeds maxLhs %d", op, depth, t.maxLhs)
 	invariant.Assert(n.rhsFds.IsSubsetOf(n.rhsAttrs), "%s: rhsFds not covered by rhsAttrs at depth %d", op, depth)
 	leaf := true
@@ -54,7 +88,6 @@ func (t *Tree) assertNode(n *node, depth int, op string, count *int) {
 		leaf = false
 		invariant.Assert(c.rhsAttrs.IsSubsetOf(n.rhsAttrs),
 			"%s: child %d summary not covered by parent at depth %d", op, a, depth)
-		t.assertNode(c, depth+1, op, count)
 	}
 	if leaf && depth > 0 {
 		invariant.Assert(!n.rhsAttrs.IsEmpty(), "%s: empty non-root leaf at depth %d was not pruned", op, depth)

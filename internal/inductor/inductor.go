@@ -11,6 +11,7 @@ import (
 
 	"hyfd/internal/bitset"
 	"hyfd/internal/fdtree"
+	"hyfd/internal/invariant"
 )
 
 // Inductor specializes a shared FDTree with observed non-FDs. The tree
@@ -54,6 +55,9 @@ func (in *Inductor) Update(nonFds []bitset.Set) {
 	})
 	for _, agree := range sorted {
 		in.specialize(agree)
+	}
+	if invariant.Enabled {
+		in.fds.AssertConsistent("Update")
 	}
 }
 

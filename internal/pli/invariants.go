@@ -37,22 +37,36 @@ func assertStripped(p *PLI) {
 		"pli attr %d: %d covered records + %d singletons != %d rows", p.Attr, covered, singletons, p.NumRows)
 }
 
-// assertPartition verifies under -tags hyfdinvariants that a product is
-// stripped: every cluster has at least two records, listed in strictly
-// ascending order, all in range, and no record lies in two clusters.
-func assertPartition(p *Partition) {
-	seen := make(map[int32]bool)
-	for ci, cluster := range p.Clusters {
+// assertRefined verifies under -tags hyfdinvariants that a product written
+// by RefineInto is stripped and refines its parent: every cluster, which
+// ends[i] closes in flat (the first starting at from), has at least two
+// records, listed in strictly ascending order and all in range, no record
+// lies in two clusters, and all of a cluster's records lie in one cluster
+// of parent.
+func assertRefined(parent [][]int32, flat, ends []int32, from int32, numRows int) {
+	// owner[r] is one plus the index of r's parent cluster, 0 for none.
+	owner, seen := make([]int32, numRows), make([]bool, numRows)
+	for pi, cluster := range parent {
+		for _, r := range cluster {
+			owner[r] = int32(pi) + 1
+		}
+	}
+	start := from
+	for ci, end := range ends {
+		cluster := flat[start:end]
+		start = end
 		invariant.Assert(len(cluster) >= 2,
 			"partition: cluster %d has size %d; stripped partitions keep only clusters of size >= 2", ci, len(cluster))
 		prev := int32(-1)
 		for _, r := range cluster {
-			invariant.Assert(r >= 0 && int(r) < p.NumRows,
-				"partition: record id %d out of range [0,%d)", r, p.NumRows)
+			invariant.Assert(r >= 0 && int(r) < numRows,
+				"partition: record id %d out of range [0,%d)", r, numRows)
 			invariant.Assert(r > prev,
 				"partition: cluster %d not in strictly ascending record order", ci)
 			invariant.Assert(!seen[r],
 				"partition: record %d appears in two clusters", r)
+			invariant.Assert(owner[r] != 0 && owner[r] == owner[cluster[0]],
+				"partition: cluster %d does not lie within one parent cluster", ci)
 			seen[r] = true
 			prev = r
 		}

@@ -4,9 +4,10 @@ import "hyfd/internal/invariant"
 
 // Partition is a stripped partition over an arbitrary attribute set. The
 // lattice-traversal baselines (TANE, FUN, FD_Mine, DFD) and the ucc and afd
-// searches build partitions of growing attribute sets by refinement; HyFD
-// itself deliberately avoids these products (§8) but still validates
-// against the single-attribute partitions.
+// searches build partitions of growing attribute sets by refinement and
+// cache them. HyFD's validator refines too, but keeps no cache: each worker
+// holds only the partitions of the current LHS's prefixes, written by
+// RefineInto into buffers it reuses.
 type Partition struct {
 	Clusters [][]int32
 	NumRows  int
@@ -53,9 +54,9 @@ type Refiner struct {
 	// counts is indexed by a cluster id of the refining attribute. It is
 	// all zero between clusters: each cluster resets the ids it touched.
 	counts []int32
-	// ids holds the current cluster's cell ids, touched the ids it counted
-	// in first-record order, flat the retained groups of the product so
-	// far, back to back, and ends the end offset of each group in flat.
+	// ids holds the current cluster's cell ids and touched the ids it
+	// counted, in first-record order; flat and ends are the buffers Refine
+	// passes to RefineInto.
 	ids, touched, flat, ends []int32
 }
 
@@ -76,10 +77,33 @@ func NewRefiner(ix *Index) *Refiner {
 // clusters slice with capped capacity. The cost is O(||p||), and p is only
 // read.
 func (rf *Refiner) Refine(p *Partition, a int) *Partition {
+	rf.flat, rf.ends = rf.RefineInto(rf.flat[:0], rf.ends[:0], p.Clusters, a)
+	flat, ends := rf.flat, rf.ends
+	out := &Partition{NumRows: p.NumRows}
+	if len(ends) > 0 {
+		exact := make([]int32, len(flat))
+		copy(exact, flat)
+		out.Clusters = make([][]int32, len(ends))
+		start := int32(0)
+		for i, end := range ends {
+			out.Clusters[i] = exact[start:end:end]
+			start = end
+		}
+	}
+	return out
+}
+
+// RefineInto writes π(X ∪ {a}), given the clusters of π(X), into buffers
+// the caller owns: it appends the product's clusters to flat back to back,
+// in Refine's order, and each cluster's end offset in flat to ends, and
+// returns both. Callers that refine often pass the same buffers back in,
+// so a warm product allocates nothing. clusters is only read.
+func (rf *Refiner) RefineInto(flat, ends []int32, clusters [][]int32, a int) ([]int32, []int32) {
 	m, recs := rf.ix.NumCols, rf.ix.Records
 	counts := rf.counts
-	flat, ends, ids, touched := rf.flat[:0], rf.ends[:0], rf.ids, rf.touched
-	for _, cluster := range p.Clusters {
+	from, firstEnd := int32(len(flat)), len(ends)
+	ids, touched := rf.ids, rf.touched
+	for _, cluster := range clusters {
 		if len(cluster) == 2 {
 			// A pair survives whole or not at all.
 			if id := recs[int(cluster[0])*m+a]; id != Singleton && id == recs[int(cluster[1])*m+a] {
@@ -129,20 +153,9 @@ func (rf *Refiner) Refine(p *Partition, a int) *Partition {
 			counts[id] = 0
 		}
 	}
-	rf.flat, rf.ends, rf.ids, rf.touched = flat, ends, ids, touched
-	out := &Partition{NumRows: p.NumRows}
-	if len(ends) > 0 {
-		exact := make([]int32, len(flat))
-		copy(exact, flat)
-		out.Clusters = make([][]int32, len(ends))
-		start := int32(0)
-		for i, end := range ends {
-			out.Clusters[i] = exact[start:end:end]
-			start = end
-		}
-	}
+	rf.ids, rf.touched = ids, touched
 	if invariant.Enabled {
-		assertPartition(out)
+		assertRefined(clusters, flat, ends[firstEnd:], from, rf.ix.NumRows)
 	}
-	return out
+	return flat, ends
 }

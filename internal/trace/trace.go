@@ -158,6 +158,13 @@ type ValidationLevel struct {
 	Suggestions int
 	// Validations is the number of FDTree nodes validated on this level.
 	Validations int
+	// Refinements is the number of partition products the level computed
+	// to check its nodes against their LHS partitions.
+	Refinements int
+	// Fallbacks is the number of nodes whose LHS partition showed a
+	// violation, so the direct check validated them again to find their
+	// valid candidates and witness pairs.
+	Fallbacks int
 	// FootprintBytes is the result tree's approximate footprint after the
 	// level's specializations.
 	FootprintBytes int64

@@ -1,10 +1,15 @@
 // Package validator implements HyFD's Phase 2 (§8, Alg. 4): a row-efficient,
 // level-wise traversal of the candidate FDTree that validates each node's FD
-// candidates directly against the single-attribute PLIs — no hierarchical
-// PLI intersections — and specializes invalid candidates into new minimal
-// ones. When a level produces too many invalid candidates the Validator
-// hands control back to the Sampler along with the record pairs that
-// witnessed violations.
+// candidates against the data and specializes invalid candidates into new
+// minimal ones. A level is visited in the rank order of its LHSs, so each
+// worker refines the partition of an LHS prefix that several nodes share
+// once, from the pivot PLI through the compressed records, and holds only
+// the partitions of the current LHS's prefixes, never a partition cache. A
+// node whose partition shows a violation is checked again directly against
+// the single-attribute PLIs (Fig. 5), which yields its exact valid set and
+// the record pairs that witness the violations. When a level produces too
+// many invalid candidates the Validator hands control back to the Sampler
+// along with those pairs.
 package validator
 
 import (
@@ -12,6 +17,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,9 +62,14 @@ type Validator struct {
 	intersect bool
 	observer  trace.Observer
 	levelFn   func(level int, valid []fd.FD) bool
+	// rank is every attribute's position in ix.Order.
+	rank []int
 	// checkers holds one refiner per worker, built on first use and reused
 	// across levels and runs.
 	checkers []refiner
+	// direct is a test seam: it gives every worker the direct check alone,
+	// the reference the prefix stack must agree with.
+	direct bool
 
 	levelNumber int
 
@@ -105,18 +116,19 @@ func WithLevelFunc(fn func(level int, valid []fd.FD) bool) Option {
 	return func(v *Validator) { v.levelFn = fn }
 }
 
-// WithIntersectionValidation replaces HyFD's direct refinement checks with
-// classic hierarchical PLI intersections (the TANE-style check, with a
-// partition cache). This ablation exists to measure what §8 claims the
-// direct validation buys: it forces sequential execution and retains every
-// intermediate partition, trading memory and time for nothing.
+// WithIntersectionValidation replaces the validator's checks with classic
+// hierarchical PLI intersections (the TANE-style check, with a partition
+// cache). This ablation exists to measure what §8 claims a cache-free
+// validation buys: it forces sequential execution and retains every
+// intermediate partition, and the partition of every LHS ∪ {A}, trading
+// memory and time for nothing.
 func WithIntersectionValidation() Option {
 	return func(v *Validator) { v.intersect = true }
 }
 
 // New returns a Validator over the preprocessed index and candidate tree.
 func New(ix *pli.Index, tree *fdtree.Tree, opts ...Option) *Validator {
-	v := &Validator{ix: ix, tree: tree, threshold: DefaultInvalidThreshold, threads: 1}
+	v := &Validator{ix: ix, tree: tree, threshold: DefaultInvalidThreshold, threads: 1, rank: ix.Rank()}
 	for _, o := range opts {
 		o(v)
 	}
@@ -168,7 +180,7 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 		numValid, numInvalid := 0, 0
 		var invalids []invalidFd
 		var levelValid []fd.FD
-		results, err := v.validateLevel(ctx, level)
+		results, refinements, fallbacks, err := v.validateLevel(ctx, level)
 		if err != nil {
 			return nil, err
 		}
@@ -200,6 +212,7 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 		}
 		if invariant.Enabled {
 			v.assertLevelMinimal(level)
+			v.tree.AssertConsistent("validation level")
 		}
 		trace.Emit(v.observer, trace.ValidationLevel{
 			Level:          v.levelNumber,
@@ -208,6 +221,8 @@ func (v *Validator) Run(ctx context.Context, exhaustive bool) (*Result, error) {
 			Invalid:        numInvalid,
 			Suggestions:    len(res.Suggestions) - suggestionsBefore,
 			Validations:    int(v.Validations - validationsBefore),
+			Refinements:    refinements,
+			Fallbacks:      fallbacks,
 			FootprintBytes: int64(v.tree.ApproxBytes()),
 			//hyfdvet:allow determinism — wall-clock telemetry only; never influences the FD set
 			Duration: time.Since(levelStart),
@@ -267,55 +282,102 @@ type refiner interface {
 // sequentially, so it has a single refiner.
 func (v *Validator) refiners(n int) []refiner {
 	for len(v.checkers) < n {
-		if v.intersect {
+		switch {
+		case v.intersect:
 			v.checkers = append(v.checkers, &intersectChecker{ix: v.ix, cache: pli.NewCache(v.ix)})
-		} else {
+		case v.direct:
 			v.checkers = append(v.checkers, newChecker(v.ix))
+		default:
+			v.checkers = append(v.checkers, newWorker(v.ix, v.rank))
 		}
 	}
 	return v.checkers[:n]
 }
 
-// validateLevel runs refines on every node of the level, fanning out over
-// the worker pool when configured. Intersection validation shares one
-// partition cache and therefore always runs sequentially. The context is
-// re-checked between nodes; on cancellation the parallel workers drain
-// their queue without working and the partial results are discarded.
-func (v *Validator) validateLevel(ctx context.Context, level []fdtree.Node) ([]nodeResult, error) {
+// validateLevel validates every node of the level that carries candidates
+// and writes each result at the node's index. The nodes, in rank order
+// (rankOrder), are cut into one contiguous share per worker, and each
+// worker visits its share in order, so nodes that share an LHS prefix share
+// its partitions. A node's result depends only on the node and the data,
+// never on the schedule. Intersection validation shares one partition cache
+// and therefore runs in one share. The context is re-checked between
+// nodes; on cancellation the partial results are discarded. It also
+// returns the level's partition products and the nodes it re-checked
+// directly.
+func (v *Validator) validateLevel(ctx context.Context, level []fdtree.Node) ([]nodeResult, int, int, error) {
 	results := make([]nodeResult, len(level))
-	if v.threads <= 1 || len(level) < 2 || v.intersect {
-		ck := v.refiners(1)[0]
-		for i, nd := range level {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			results[i] = validateNode(ck, nd)
+	order := v.rankOrder(level)
+	shares := min(v.threads, len(order))
+	if v.intersect {
+		shares = min(1, len(order))
+	}
+	checkers := v.refiners(shares)
+	if shares == 1 {
+		validateShare(ctx, checkers[0], level, order, results)
+	} else {
+		var wg sync.WaitGroup
+		for w, ck := range checkers {
+			wg.Add(1)
+			go func(ck refiner, share []int) {
+				defer wg.Done()
+				validateShare(ctx, ck, level, share, results)
+			}(ck, order[w*len(order)/shares:(w+1)*len(order)/shares])
 		}
-		return results, nil
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for _, ck := range v.refiners(min(v.threads, len(level))) {
-		wg.Add(1)
-		go func(ck refiner) {
-			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					continue // drain the channel without working
-				}
-				results[i] = validateNode(ck, level[i])
-			}
-		}(ck)
+	refinements, fallbacks := 0, 0
+	for _, ck := range checkers {
+		if w, ok := ck.(*worker); ok {
+			refinements, fallbacks = refinements+w.refinements, fallbacks+w.fallbacks
+			w.refinements, w.fallbacks = 0, 0
+		}
 	}
-	for i := range level {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return results, nil
+	return results, refinements, fallbacks, nil
+}
+
+// validateShare validates the nodes level[i] for i in share, in order,
+// until the context ends.
+func validateShare(ctx context.Context, ck refiner, level []fdtree.Node, share []int, results []nodeResult) {
+	for _, i := range share {
+		if ctx.Err() != nil {
+			return
+		}
+		results[i] = validateNode(ck, level[i])
+	}
+}
+
+// rankOrder returns the indices of the level's nodes that carry candidates,
+// sorted by their LHS attributes listed in rank order (Index.Order: most
+// clusters first, ties by attribute index). A node's first attribute is
+// then its pivot, and nodes that share a rank-ordered prefix are adjacent.
+func (v *Validator) rankOrder(level []fdtree.Node) []int {
+	k := v.levelNumber
+	keys := make([]int32, 0, len(level)*k)
+	order := make([]int, 0, len(level))
+	for i, nd := range level {
+		keys = rankKey(keys, nd.Lhs, v.rank)
+		if nd.HasFds() {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return slices.Compare(keys[a*k:(a+1)*k], keys[b*k:(b+1)*k])
+	})
+	return order
+}
+
+// rankKey appends the ranks of lhs's attributes to dst in ascending order:
+// the LHS listed in rank order.
+func rankKey(dst []int32, lhs bitset.Set, rank []int) []int32 {
+	n := len(dst)
+	for a := lhs.NextSet(0); a >= 0; a = lhs.NextSet(a + 1) {
+		dst = append(dst, int32(rank[a]))
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // validateNode validates all FD candidates of one node simultaneously.
@@ -335,10 +397,118 @@ func validateNode(ck refiner, nd fdtree.Node) nodeResult {
 	return r
 }
 
-// checker performs direct refinement checks (Fig. 5). One checker per
-// goroutine; it reuses its buffers across clusters and nodes, so a warm
-// refines allocates only its result (refines dominates HyFD's runtime on
-// FD-rich datasets).
+// worker validates nodes against the partitions of their LHS prefixes. It
+// holds the partitions of the rank-ordered prefixes of the last LHS it
+// checked: depth 1 is the pivot PLI's clusters, read in place, and depth
+// d ≥ 2 is depth d−1 refined by the d-th attribute, written into buffers
+// the worker reuses across nodes, levels and runs, so its scratch is at
+// most (depth − 1) × ||π(pivot)|| records. A node whose partition shows no
+// violation is valid for all its candidates and has no witnesses; any
+// other node goes to the direct check, which finds its exact valid set and
+// witness pairs. One worker per goroutine.
+type worker struct {
+	ix   *pli.Index
+	rank []int
+	ck   *checker
+	rf   *pli.Refiner
+	// held is the rank-ordered LHS, as ranks, whose prefix partitions the
+	// worker holds: parts[d-2] is the partition of its first d attributes.
+	held, next []int32
+	parts      []prefix
+	rhsAttrs   []int
+	// refinements and fallbacks count the partition products and the
+	// direct checks since the validator last read them.
+	refinements, fallbacks int
+}
+
+// prefix is one refined partition of a worker's stack: its clusters slice
+// flat at the end offsets in ends.
+type prefix struct {
+	flat, ends []int32
+	clusters   [][]int32
+}
+
+func newWorker(ix *pli.Index, rank []int) *worker {
+	return &worker{ix: ix, rank: rank, ck: newChecker(ix), rf: pli.NewRefiner(ix)}
+}
+
+func (w *worker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.Pair) {
+	if lhs.IsEmpty() {
+		return w.ck.refines(lhs, rhss)
+	}
+	w.rhsAttrs = rhss.AppendIndices(w.rhsAttrs[:0])
+	if !holds(w.ix, w.partition(lhs), w.rhsAttrs) {
+		w.fallbacks++
+		return w.ck.refines(lhs, rhss)
+	}
+	if invariant.Enabled {
+		valid, suggestions := w.ck.refines(lhs, rhss)
+		invariant.Assert(valid.Equal(rhss) && len(suggestions) == 0,
+			"validator: the prefix partitions confirm %v -> %v, the direct check only %v",
+			lhs.Indices(), rhss.Indices(), valid.Indices())
+	}
+	return rhss.Clone(), nil
+}
+
+// partition returns the clusters of π(lhs): it pops the stack to the
+// prefix that lhs shares with the held LHS and refines down from there.
+func (w *worker) partition(lhs bitset.Set) [][]int32 {
+	w.next = rankKey(w.next[:0], lhs, w.rank)
+	shared := 0
+	for shared < min(len(w.held), len(w.next)) && w.held[shared] == w.next[shared] {
+		shared++
+	}
+	w.held, w.next = w.next, w.held
+	order := w.ix.Order
+	clusters := w.ix.Plis[order[w.held[0]]].Clusters
+	for d := 2; d <= len(w.held); d++ {
+		if len(w.parts) < d-1 {
+			w.parts = append(w.parts, prefix{})
+		}
+		p := &w.parts[d-2]
+		if d > shared {
+			p.flat, p.ends = w.rf.RefineInto(p.flat[:0], p.ends[:0], clusters, order[w.held[d-1]])
+			p.clusters = p.clusters[:0]
+			start := int32(0)
+			for _, end := range p.ends {
+				p.clusters = append(p.clusters, p.flat[start:end:end])
+				start = end
+			}
+			w.refinements++
+		}
+		clusters = p.clusters
+	}
+	return clusters
+}
+
+// holds reports whether every cluster of a partition lies within one
+// cluster of every attribute in rhs: each record carries its cluster's
+// first record's cluster id, and that id is not Singleton, a unique value
+// that agrees with no other record.
+func holds(ix *pli.Index, clusters [][]int32, rhs []int) bool {
+	for _, cluster := range clusters {
+		first := ix.Row(int(cluster[0]))
+		for _, a := range rhs {
+			if first[a] == pli.Singleton {
+				return false
+			}
+		}
+		for _, r := range cluster[1:] {
+			row := ix.Row(int(r))
+			for _, a := range rhs {
+				if row[a] != first[a] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// checker performs direct refinement checks (Fig. 5): level 0, and the
+// nodes whose LHS partition shows a violation, for their exact valid set
+// and witness pairs. One checker per goroutine; it reuses its buffers
+// across clusters and nodes, so a warm refines allocates only its result.
 type checker struct {
 	ix   *pli.Index
 	rank []int
@@ -537,7 +707,8 @@ func constantViolation(p *pli.PLI) (pli.Pair, bool) {
 
 // intersectChecker validates candidates with hierarchical PLI
 // intersections through a shared partition cache — the strategy of the
-// lattice-traversal baselines that HyFD's direct validation (§8) avoids.
+// lattice-traversal baselines, whose cache and LHS ∪ {A} partitions HyFD's
+// validation (§8) avoids.
 type intersectChecker struct {
 	ix    *pli.Index
 	cache *pli.Cache

@@ -16,6 +16,7 @@ import (
 	"hyfd/internal/inductor"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
+	"hyfd/internal/sampler"
 	"hyfd/internal/trace"
 )
 
@@ -385,6 +386,12 @@ func TestRunCanceledContext(t *testing.T) {
 	}
 }
 
+// TestRunEmitsValidationLevelEvents checks the per-level events, including
+// the stack's work: level 0 and level 1 refine nothing (level 1 reads the
+// PLIs in place), a deeper level refines at least once per validated node
+// whose prefix the previous node did not share and at most LHS size − 1
+// times per node, and every node with an invalid candidate above level 0
+// falls back to the direct check. The relation has both kinds of node.
 func TestRunEmitsValidationLevelEvents(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	rel := randomRelation(r, 30, 4, 2)
@@ -400,6 +407,7 @@ func TestRunEmitsValidationLevelEvents(t *testing.T) {
 		t.Fatal("no ValidationLevel events emitted")
 	}
 	prev := -1
+	refinements, fallbacks := 0, 0
 	for _, e := range events {
 		lv, ok := e.(trace.ValidationLevel)
 		if !ok {
@@ -411,7 +419,22 @@ func TestRunEmitsValidationLevelEvents(t *testing.T) {
 		if lv.Candidates != lv.Valid+lv.Invalid {
 			t.Fatalf("candidate partition broken: %+v", lv)
 		}
+		switch {
+		case lv.Level <= 1 && lv.Refinements != 0,
+			lv.Level >= 2 && lv.Validations > 0 && lv.Refinements == 0,
+			lv.Level >= 2 && lv.Refinements > lv.Validations*(lv.Level-1):
+			t.Fatalf("refinements do not match the level: %+v", lv)
+		case lv.Level == 0 && lv.Fallbacks != 0,
+			lv.Fallbacks > lv.Validations,
+			lv.Level > 0 && lv.Invalid > 0 && lv.Fallbacks == 0:
+			t.Fatalf("fallbacks do not match the level: %+v", lv)
+		}
+		refinements += lv.Refinements
+		fallbacks += lv.Fallbacks
 		prev = lv.Level
+	}
+	if refinements == 0 || fallbacks == 0 {
+		t.Fatalf("%d refinements and %d fallbacks over the run, want both", refinements, fallbacks)
 	}
 }
 
@@ -426,6 +449,48 @@ func BenchmarkValidatorExhaustive(b *testing.B) {
 		v := New(ix, ind.Tree())
 		if !run(b, v, true).Done {
 			b.Fatal("did not finish")
+		}
+	}
+}
+
+// BenchmarkValidateLevels times Validator.Run, from a fresh Validator,
+// over the tree that the first sampling round and its induction leave on
+// the ncvoter and adult analogs at 1,000 rows, once through the prefix
+// partitions (stack) and once through the direct check of every node
+// (direct). Every candidate there is valid, so every iteration validates
+// the same tree.
+func BenchmarkValidateLevels(b *testing.B) {
+	for _, name := range []string{"ncvoter", "adult"} {
+		ds, err := datasets.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The half row keeps float rounding from generating one row short.
+		rel := ds.Generate(1000.5 / float64(ds.Rows)).Head(1000)
+		if rel.NumRows() != 1000 {
+			b.Fatalf("%s: %d rows, want 1000", name, rel.NumRows())
+		}
+		ix := pli.NewIndex(rel, relation.NullEqualsNull)
+		obs, err := sampler.New(ix, sampler.Config{Threads: 1}).Run(context.Background(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ind := inductor.New(rel.NumCols())
+		ind.Update(obs)
+		for _, path := range []struct {
+			name   string
+			direct bool
+		}{{"stack", false}, {"direct", true}} {
+			b.Run(name+"/"+path.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v := New(ix, ind.Tree())
+					v.direct = path.direct
+					if res := run(b, v, false); !res.Done || res.InvalidFds != 0 {
+						b.Fatalf("%+v: a candidate is invalid, so the tree changes between iterations", res)
+					}
+				}
+			})
 		}
 	}
 }
