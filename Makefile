@@ -107,13 +107,17 @@ fuzz-smoke-validator:
 	$(GO) test -fuzz=FuzzValidatorDifferential -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzValidatorStack -fuzztime=$(FUZZTIME) -run '^$$' ./internal/validator
 
-# fuzz-smoke-inductor runs the induction differential fuzzer: Update, which
-# walks the FDTree once per agree set, must leave the same FDs and node
-# count as a per-RHS reference, over fuzzed universes (up to 72 attributes),
-# agree-set batches and LHS bounds, and match the brute-force cover on small
-# unbounded universes.
+# fuzz-smoke-inductor runs the induction differential fuzzer, then the
+# FDTree's, each for FUZZTIME: Update, which walks the FDTree once per agree
+# set, must leave the same FDs and node count as a per-RHS reference, over
+# fuzzed universes (up to 72 attributes), agree-set batches and LHS bounds,
+# and match the brute-force cover on small unbounded universes
+# (internal/inductor); and fuzzed sequences of tree operations must keep
+# the FDs, their canonical order and the node count of a naive model
+# (internal/fdtree).
 fuzz-smoke-inductor:
 	$(GO) test -fuzz=FuzzInductorDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/inductor
+	$(GO) test -fuzz=FuzzTreeDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/fdtree
 
 # fuzz-smoke-sampler runs the sampler differential fuzzer: on fuzzed
 # relations (up to 8 columns and 255 rows, nulls under both semantics) every

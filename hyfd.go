@@ -155,7 +155,10 @@ type RankedFD = rank.FD
 // FDs/Set/Dataset for ModeIncremental. Stats is always set.
 type Result struct {
 	// FDs holds all discovered minimal, non-trivial FDs in canonical
-	// order (ModeFD).
+	// order (ModeFD). Whenever Set holds its FDs in that order, as every
+	// discovered cover does, FDs is Set's own slice (FDSet.Sorted), LHS
+	// words included, so the cover is held once: treat both as read-only,
+	// and clone an FD's Lhs before changing it.
 	FDs []FD
 	// Set is the same collection as a queryable FDSet (ModeFD).
 	Set *FDSet

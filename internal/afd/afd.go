@@ -134,6 +134,7 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 	var count counter
 
 	var out []AFD
+	cand := bitset.New(m) // the specialization being tried
 	for rhs := 0; rhs < m; rhs++ {
 		var found []bitset.Set
 		level := []bitset.Set{bitset.New(m)}
@@ -142,7 +143,7 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 				return nil, fmt.Errorf("afd: discovery aborted: %w", err)
 			}
 			var next []bitset.Set
-			seen := make(map[string]struct{})
+			seen := bitset.NewHashSet(m)
 			for _, lhs := range level {
 				dominated := false
 				for _, g := range found {
@@ -167,12 +168,11 @@ func Discover(ctx context.Context, ds *dataset.Dataset, opts Options) ([]AFD, er
 					if a == rhs || lhs.Test(a) {
 						continue
 					}
-					sp := lhs.With(a)
-					if _, dup := seen[sp.Key()]; dup {
-						continue
+					cand.CopyFrom(lhs)
+					cand.Set(a)
+					if seen.Add(cand) {
+						next = append(next, cand.Clone())
 					}
-					seen[sp.Key()] = struct{}{}
-					next = append(next, sp)
 				}
 			}
 			level = next

@@ -106,6 +106,19 @@ func (s Set) CloneInto(words []uint64) Set {
 	return Set{words: w, n: s.n}
 }
 
+// View returns the set over a universe of n attributes whose words are
+// words itself, capped at the universe's word count: writes through either
+// show in the other. words must hold no bit at or beyond n. Keeping many
+// sets in one word array, as the FDTree's node arena does, needs no
+// allocation per set.
+func View(n int, words []uint64) Set {
+	w := (n + wordBits - 1) / wordBits
+	return Set{words: words[:w:w], n: n}
+}
+
+// Word returns word i of s, the attributes 64i to 64i+63.
+func (s Set) Word(i int) uint64 { return s.words[i] }
+
 // CopyFrom overwrites s in place with the members of t, reusing s's words.
 func (s Set) CopyFrom(t Set) {
 	if len(s.words) != len(t.words) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"hyfd/internal/bitset"
+	"hyfd/internal/invariant"
 	"hyfd/internal/relation"
 )
 
@@ -110,17 +111,19 @@ func NewSet(n int) *Set {
 	return &Set{n: n}
 }
 
-// NewSetOf returns the set of the given FDs over a universe of n
-// attributes, sorting them once.
-func NewSetOf(n int, fds []FD) *Set {
-	sorted := sortCanonical(fds)
-	out := sorted[:0]
-	for _, f := range sorted {
-		if len(out) == 0 || compare(out[len(out)-1], f) != 0 {
-			out = append(out, f)
+// NewCanonicalSet returns the set of fds over a universe of n attributes.
+// fds must be distinct and in canonical order, as fdtree.Tree.FDs emits
+// them; the set keeps the slice as it is, without copying or sorting it,
+// and any later Add appends to a copy.
+func NewCanonicalSet(n int, fds []FD) *Set {
+	if invariant.Enabled {
+		for i := 1; i < len(fds); i++ {
+			if compare(fds[i-1], fds[i]) >= 0 { // boxing the FDs for Assert allocates
+				invariant.Assert(false, "NewCanonicalSet: %v listed before %v", fds[i-1], fds[i])
+			}
 		}
 	}
-	return &Set{fds: out, n: n}
+	return &Set{fds: fds[:len(fds):len(fds)], n: n}
 }
 
 // Universe returns the attribute universe size.
@@ -177,6 +180,16 @@ func (s *Set) All() []FD {
 		return sortCanonical(s.fds)
 	}
 	return append([]FD(nil), s.fds...)
+}
+
+// Sorted returns the FDs in canonical order, like All, but shares the
+// set's own slice while the set holds them in that order: the caller must
+// not modify the slice or its LHSs.
+func (s *Set) Sorted() []FD {
+	if s.seen != nil {
+		return sortCanonical(s.fds)
+	}
+	return s.fds[:len(s.fds):len(s.fds)]
 }
 
 // Equal reports whether both sets contain exactly the same FDs.

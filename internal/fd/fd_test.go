@@ -3,6 +3,7 @@ package fd
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -187,14 +188,21 @@ func TestAllMatchesKeyStringOrder(t *testing.T) {
 			}
 			checkCanonical(t, "Add in random order", random)
 
-			built := NewSetOf(n, append([]FD(nil), fds...))
+			built := NewCanonicalSet(n, random.All())
 			if !built.Equal(random) {
-				t.Fatalf("NewSetOf holds %v, want %v", built.All(), random.All())
+				t.Fatalf("NewCanonicalSet holds %v, want %v", built.All(), random.All())
 			}
-			checkCanonical(t, "NewSetOf", built)
+			checkCanonical(t, "NewCanonicalSet", built)
+			shared := built.Sorted()
 			for _, f := range randomFDs(r, n, 5) {
 				built.Add(f)
 				checkCanonical(t, "Add after a canonical build", built)
+			}
+			if len(shared) != random.Size() || !NewCanonicalSet(n, shared).Equal(random) {
+				t.Fatal("Add changed the slice Sorted shared")
+			}
+			if sorted := built.Sorted(); !slices.EqualFunc(sorted, built.All(), func(a, b FD) bool { return compare(a, b) == 0 }) {
+				t.Fatalf("Sorted lists %v, All %v", sorted, built.All())
 			}
 
 			checkCanonical(t, "Minimize", random.Minimize())
@@ -222,11 +230,11 @@ func TestAllMatchesKeyStringOrder(t *testing.T) {
 func TestSetConcurrentReads(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	fds := randomFDs(r, 12, 200)
-	sorted := NewSetOf(12, append([]FD(nil), fds...))
 	unsorted := NewSet(12)
 	for _, f := range fds {
 		unsorted.Add(f)
 	}
+	sorted := NewCanonicalSet(12, unsorted.All())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

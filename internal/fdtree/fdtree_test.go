@@ -82,6 +82,11 @@ func TestFindFdOrGeneral(t *testing.T) {
 	if tr.FindFdOrGeneral(bitset.FromIndices(6, 1, 2, 3), 4) {
 		t.Fatal("wrong RHS matched")
 	}
+	for _, rhs := range []int{-1, 6, 64} { // outside the universe, as bitset.Set.Test
+		if tr.FindFdOrGeneral(bitset.FromIndices(6, 1, 3), rhs) || tr.ContainsFd(bitset.FromIndices(6, 1, 3), rhs) {
+			t.Fatalf("lookup of RHS %d outside the universe matched", rhs)
+		}
+	}
 }
 
 func TestGetFdsAndGenerals(t *testing.T) {
@@ -339,13 +344,18 @@ func TestFDsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestFDsAllocs: extracting a cover of k FDs and listing it makes at most
-// two allocations per FD plus a constant.
+// TestFDsAllocs: extracting a cover and listing it makes a constant number
+// of allocations, however many FDs it holds, over one- and two-word
+// universes.
 func TestFDsAllocs(t *testing.T) {
-	tr := randomTree(rand.New(rand.NewSource(13)), 20, 3000)
-	k := tr.CountFDs()
-	if n := testing.AllocsPerRun(5, func() { tr.FDs().All() }); n > float64(2*k+32) {
-		t.Fatalf("FDs plus All made %v allocations for %d FDs, want at most 2 per FD plus 32", n, k)
+	for _, tr := range []*Tree{
+		randomTree(rand.New(rand.NewSource(13)), 20, 3000),
+		wideTree(rand.New(rand.NewSource(13)), 109, 300),
+	} {
+		if n := testing.AllocsPerRun(5, func() { tr.FDs().All() }); n > 16 {
+			t.Fatalf("FDs plus All made %v allocations for %d FDs over %d attributes, want at most 16",
+				n, tr.CountFDs(), tr.NumAttrs())
+		}
 	}
 }
 
@@ -519,11 +529,43 @@ func BenchmarkAddRemove(b *testing.B) {
 	}
 }
 
+// wideTree returns a tree shaped like a wide FD-rich cover: k LHSs of one
+// to four attributes over n attributes, each determining about half of the
+// other attributes.
+func wideTree(r *rand.Rand, n, k int) *Tree {
+	tr := New(n)
+	for i := 0; i < k; i++ {
+		lhs := bitset.New(n)
+		for j := 1 + r.Intn(4); j > 0; j-- {
+			lhs.Set(r.Intn(n))
+		}
+		rhss := bitset.New(n)
+		for a := 0; a < n; a++ {
+			if !lhs.Test(a) && r.Intn(2) == 0 {
+				rhss.Set(a)
+			}
+		}
+		tr.AddRhss(lhs, rhss)
+	}
+	return tr
+}
+
+// BenchmarkTreeFDs extracts and lists a cover of random LHSs over 17
+// attributes (one key word), and a wide cover over 109 attributes, whose
+// two-word LHSs are flight's shape.
 func BenchmarkTreeFDs(b *testing.B) {
-	tr := randomTree(rand.New(rand.NewSource(7)), 17, 20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.FDs().All()
+	for _, c := range []struct {
+		name string
+		tree *Tree
+	}{
+		{"17attrs", randomTree(rand.New(rand.NewSource(7)), 17, 20000)},
+		{"109attrs", wideTree(rand.New(rand.NewSource(7)), 109, 4000)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.tree.FDs().All()
+			}
+		})
 	}
 }

@@ -216,7 +216,7 @@ func TestMaterializeScalesPastNaturalSize(t *testing.T) {
 // with the heap sampled every 2 ms, the runtime records at most one
 // stop-the-world pause outside garbage collection.
 func TestMeasureDoesNotStopTheWorld(t *testing.T) {
-	spec := Spec{Algorithm: HyFDName, Dataset: "ncvoter", Rows: 8000}
+	spec := Spec{Algorithm: HyFDName, Dataset: "ncvoter", Rows: 20000}
 	rel, err := Materialize(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -64,6 +64,9 @@ type Validator struct {
 	levelFn   func(level int, valid []fd.FD) bool
 	// rank is every attribute's position in ix.Order.
 	rank []int
+	// rankKeys and order are rankOrder's scratch, reused across levels.
+	rankKeys []int32
+	order    []int
 	// checkers holds one refiner per worker, built on first use and reused
 	// across levels and runs.
 	checkers []refiner
@@ -353,10 +356,11 @@ func validateShare(ctx context.Context, ck refiner, level []fdtree.Node, share [
 // sorted by their LHS attributes listed in rank order (Index.Order: most
 // clusters first, ties by attribute index). A node's first attribute is
 // then its pivot, and nodes that share a rank-ordered prefix are adjacent.
+// The keys and the order live in the Validator's scratch, so the result
+// is valid until the next call.
 func (v *Validator) rankOrder(level []fdtree.Node) []int {
 	k := v.levelNumber
-	keys := make([]int32, 0, len(level)*k)
-	order := make([]int, 0, len(level))
+	keys, order := v.rankKeys[:0], v.order[:0]
 	for i, nd := range level {
 		keys = rankKey(keys, nd.Lhs, v.rank)
 		if nd.HasFds() {
@@ -366,6 +370,7 @@ func (v *Validator) rankOrder(level []fdtree.Node) []int {
 	slices.SortFunc(order, func(a, b int) int {
 		return slices.Compare(keys[a*k:(a+1)*k], keys[b*k:(b+1)*k])
 	})
+	v.rankKeys, v.order = keys, order
 	return order
 }
 

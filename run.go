@@ -211,7 +211,7 @@ func runIncremental(ctx context.Context, req Request) (*Result, error) {
 		PreprocessingTime: snap.PreprocessingTime(),
 		TotalTime:         snap.PreprocessingTime() + istats.Duration,
 	}
-	return &Result{FDs: set.All(), Set: set, Dataset: snap, Stats: stats}, nil
+	return &Result{FDs: set.Sorted(), Set: set, Dataset: snap, Stats: stats}, nil
 }
 
 // runObserver composes the observer one run reports through: the metrics
@@ -259,7 +259,7 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{FDs: set.All(), Set: set, Stats: stats}, nil
+		return &Result{FDs: set.Sorted(), Set: set, Stats: stats}, nil
 	}
 	alg, ok := registry[algorithm]
 	if !ok {
@@ -276,7 +276,7 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 	}
 	stats := auxiliaryStats(ds, opts.MaxLhsSize, warm, start)
 	stats.FDCount = set.Size()
-	return &Result{FDs: set.All(), Set: set, Stats: stats}, nil
+	return &Result{FDs: set.Sorted(), Set: set, Stats: stats}, nil
 }
 
 // runRanked dispatches ranked top-k FD discovery. Only the HyFD engine

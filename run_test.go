@@ -131,3 +131,28 @@ func TestRunColdStatsIncludePreprocessing(t *testing.T) {
 		}
 	}
 }
+
+// TestRunHoldsCoverOnce: a fd-mode Result whose cover comes out of an
+// FDTree, as HyFD's and Fdep's do, lists the cover of its Set without a
+// copy, in the Set's order.
+func TestRunHoldsCoverOnce(t *testing.T) {
+	rel := syntheticRelation(8, 5, 4, 7)
+	for _, alg := range []string{"", "Fdep"} {
+		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := res.Set.All()
+		if len(res.FDs) == 0 || len(res.FDs) != len(all) {
+			t.Fatalf("%q: %d FDs listed, the set holds %d", alg, len(res.FDs), len(all))
+		}
+		if sorted := res.Set.Sorted(); &res.FDs[0] != &sorted[0] {
+			t.Fatalf("%q: Result.FDs is a copy of the set's cover", alg)
+		}
+		for i, f := range all {
+			if f.Rhs != res.FDs[i].Rhs || !f.Lhs.Equal(res.FDs[i].Lhs) {
+				t.Fatalf("%q: FDs[%d] = %v, want %v", alg, i, res.FDs[i], f)
+			}
+		}
+	}
+}
