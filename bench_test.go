@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"hyfd"
-	"hyfd/internal/core"
 	"hyfd/internal/harness"
 	"hyfd/internal/pli"
 	"hyfd/internal/relation"
@@ -198,39 +197,6 @@ func BenchmarkPreprocessing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pli.NewIndex(rel, relation.NullEqualsNull)
-	}
-}
-
-// BenchmarkAblations quantifies HyFD's individual design decisions
-// (DESIGN.md §2): focused sampling, comparison suggestions, and direct
-// validation, each disabled in isolation against the full algorithm.
-func BenchmarkAblations(b *testing.B) {
-	spec := harness.Spec{Algorithm: harness.HyFDName, Dataset: "ncvoter", Rows: 1000}
-	rel, err := harness.Materialize(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"full", core.Config{}},
-		{"unfocused-sampling", core.Config{UnfocusedSampling: true}},
-		{"no-suggestions", core.Config{NoSuggestions: true}},
-		{"intersection-validation", core.Config{IntersectionValidation: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var comparisons int64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := core.Discover(context.Background(), rel, v.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				comparisons = stats.Comparisons
-			}
-			b.ReportMetric(float64(comparisons), "comparisons")
-		})
 	}
 }
 

@@ -56,21 +56,6 @@ type Config struct {
 	// synchronously from the coordinating goroutine, in run order, after
 	// the engine has folded them into the run's Stats.
 	Observer trace.Observer
-
-	// Ablation switches. These disable individual HyFD design decisions so
-	// the benchmark suite can quantify their contribution; none of them
-	// affects the discovered FD set.
-
-	// UnfocusedSampling turns off the cluster sortation of Fig. 3(1):
-	// windows slide over clusters in raw record order.
-	UnfocusedSampling bool
-	// NoSuggestions stops Phase 2 from feeding violating record pairs back
-	// into Phase 1.
-	NoSuggestions bool
-	// IntersectionValidation replaces the validator's refinement checks
-	// (§8) with TANE-style hierarchical PLI intersections through a
-	// partition cache.
-	IntersectionValidation bool
 }
 
 // Stats reports telemetry of one discovery run, mirroring the quantities
@@ -336,7 +321,6 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 	smp := sampler.New(s.ix, sampler.Config{
 		Threshold: cfg.EfficiencyThreshold,
 		Threads:   s.threads,
-		Unfocused: cfg.UnfocusedSampling,
 	})
 	vopts := []validator.Option{
 		validator.WithThreads(s.threads),
@@ -345,9 +329,6 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 	}
 	if cfg.EfficiencyThreshold > 0 {
 		vopts = append(vopts, validator.WithInvalidThreshold(cfg.EfficiencyThreshold))
-	}
-	if cfg.IntersectionValidation {
-		vopts = append(vopts, validator.WithIntersectionValidation())
 	}
 	val := validator.New(s.ix, tree, vopts...)
 	grd := guardian.New(tree, cfg.MemoryBudgetBytes)
@@ -432,9 +413,6 @@ func (s *session) run(ctx context.Context, hook func(level int, valid []fd.FD) b
 			break
 		}
 		suggestions = res.Suggestions
-		if cfg.NoSuggestions {
-			suggestions = nil
-		}
 		stats.PhaseSwitches++
 		trace.Emit(obs, trace.PhaseSwitch{
 			From: trace.PhaseValidation, To: trace.PhaseSampling,

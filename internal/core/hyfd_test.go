@@ -467,31 +467,3 @@ func TestQuickDiscoverNullSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDiscoverAblationsPreserveResult: every ablation switch changes only
-// efficiency, never the discovered FD set.
-func TestDiscoverAblationsPreserveResult(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 6; trial++ {
-		rel := randomRelation(r, 60, 5, 3)
-		want, _, err := Discover(context.Background(), rel, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, cfg := range map[string]Config{
-			"unfocused":    {UnfocusedSampling: true},
-			"nosuggest":    {NoSuggestions: true},
-			"intersection": {IntersectionValidation: true},
-			"all":          {UnfocusedSampling: true, NoSuggestions: true, IntersectionValidation: true},
-		} {
-			got, _, err := Discover(context.Background(), rel, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d ablation %s changed the result:\nmissing: %v\nextra: %v",
-					trial, name, want.Diff(got), got.Diff(want))
-			}
-		}
-	}
-}

@@ -200,14 +200,8 @@ func (t *Tree) ApproxBytes() int {
 // Add inserts lhs → rhs. It reports false if the FD was already present or
 // exceeds the max LHS bound.
 func (t *Tree) Add(lhs bitset.Set, rhs int) bool {
-	_, ok := t.add(lhs, rhs)
-	return ok
-}
-
-// add is Add, also returning the id of lhs's node when the FD is new.
-func (t *Tree) add(lhs bitset.Set, rhs int) (int32, bool) {
 	if lhs.Cardinality() > t.maxLhs {
-		return 0, false
+		return false
 	}
 	id := int32(0)
 	attrs := t.set(id, attrsSet)
@@ -219,13 +213,13 @@ func (t *Tree) add(lhs bitset.Set, rhs int) (int32, bool) {
 	}
 	fds := t.set(id, fdsSet)
 	if fds.Test(rhs) {
-		return 0, false
+		return false
 	}
 	fds.Set(rhs)
 	if invariant.Enabled {
 		t.assertPathMarked(lhs, rhs)
 	}
-	return id, true
+	return true
 }
 
 // AddRhss inserts lhs → A for every A in rhss in one walk down lhs's path.
@@ -432,20 +426,6 @@ func (nd Node) SetFds(valid bitset.Set) {
 	fds.CopyFrom(valid)
 }
 
-// Children returns handles to this node's children in ascending attribute
-// order.
-func (nd Node) Children() []Node {
-	var out []Node
-	row := nd.t.row(nd.id)
-	for j, m := range nd.t.words(nd.id, maskSet) {
-		for ; m != 0; m &= m - 1 {
-			a := j<<6 | bits.TrailingZeros64(m)
-			out = append(out, Node{t: nd.t, id: row[a], Lhs: nd.Lhs.With(a)})
-		}
-	}
-	return out
-}
-
 // GetLevel returns all nodes whose LHS has the given cardinality
 // (Alg. 4's currentLevel initialization). One walk counts them, so the
 // handles and their LHSs take one allocation each.
@@ -487,17 +467,6 @@ func (t *Tree) collectLevel(id int32, path bitset.Set, d, depth int, out *[]Node
 			path.Clear(a)
 		}
 	}
-}
-
-// AddAndGetIfNew inserts lhs → rhs and returns a handle to its terminal
-// node if the FD was newly added, or a zero Node with ok=false if it was
-// already present or refused by the LHS bound (Alg. 4 line 31).
-func (t *Tree) AddAndGetIfNew(lhs bitset.Set, rhs int) (Node, bool) {
-	id, ok := t.add(lhs, rhs)
-	if !ok {
-		return Node{}, false
-	}
-	return Node{t: t, id: id, Lhs: lhs.Clone()}, true
 }
 
 // SetMaxLhs lowers the LHS cardinality bound and discards every FD whose

@@ -158,22 +158,12 @@ func TestGetLevelAndChildren(t *testing.T) {
 	if len(l1) != 2 {
 		t.Fatalf("level 1 has %d nodes", len(l1))
 	}
+	// The {1} node's only child is {1,3}, which keeps its RHS.
 	l2 := tr.GetLevel(2)
-	if len(l2) != 1 || l2[0].Lhs.Cardinality() != 2 {
+	if len(l2) != 1 || !l2[0].Lhs.Equal(bitset.FromIndices(5, 1, 3)) {
 		t.Fatalf("level 2 = %v", l2)
 	}
-	// Children of the {1} node must include {1,3}.
-	var node1 Node
-	for _, nd := range l1 {
-		if nd.Lhs.Test(1) {
-			node1 = nd
-		}
-	}
-	kids := node1.Children()
-	if len(kids) != 1 || !kids[0].Lhs.Equal(bitset.FromIndices(5, 1, 3)) {
-		t.Fatalf("children of {1} = %v", kids)
-	}
-	if !kids[0].RhsFds().Test(4) {
+	if !l2[0].RhsFds().Test(4) {
 		t.Fatal("child rhsFds lost")
 	}
 }
@@ -229,23 +219,6 @@ func TestRemoveSurvivingPathAllocs(t *testing.T) {
 	}
 }
 
-func TestAddAndGetIfNew(t *testing.T) {
-	tr := New(4)
-	lhs := bitset.FromIndices(4, 1, 2)
-	nd, ok := tr.AddAndGetIfNew(lhs, 3)
-	if !ok || !nd.Lhs.Equal(lhs) || !nd.RhsFds().Test(3) {
-		t.Fatal("AddAndGetIfNew on fresh FD broken")
-	}
-	if _, ok := tr.AddAndGetIfNew(lhs, 3); ok {
-		t.Fatal("AddAndGetIfNew on duplicate should fail")
-	}
-	// Same node, different RHS: still returns the node.
-	nd2, ok := tr.AddAndGetIfNew(lhs, 0)
-	if !ok || !nd2.RhsFds().Test(0) || !nd2.RhsFds().Test(3) {
-		t.Fatal("AddAndGetIfNew with second RHS broken")
-	}
-}
-
 func TestMaxLhsPruning(t *testing.T) {
 	tr := New(6)
 	tr.Add(bitset.FromIndices(6, 0), 5)
@@ -269,9 +242,6 @@ func TestMaxLhsPruning(t *testing.T) {
 	// New deep adds must be refused.
 	if tr.Add(bitset.FromIndices(6, 1, 2, 3), 0) {
 		t.Fatal("Add beyond maxLhs accepted")
-	}
-	if _, ok := tr.AddAndGetIfNew(bitset.FromIndices(6, 1, 2, 3), 0); ok {
-		t.Fatal("AddAndGetIfNew beyond maxLhs accepted")
 	}
 	if tr.MaxLhs() != 2 {
 		t.Fatalf("MaxLhs = %d", tr.MaxLhs())

@@ -141,6 +141,10 @@ func Maintain(ctx context.Context, snap *dataset.Dataset, base *fd.Set, cfg Conf
 // two cancellation checks.
 const inductChunk = 64
 
+// cancelStride is the number of cluster partners deltaViolations visits
+// between two cancellation checks, the stride the sampler checks at.
+const cancelStride = 4096
+
 // induceInserts seeds an FDTree with the base cover and induces the
 // negative cover of the records inserted from id from on into it, recording
 // Breakable and Specialized. Update sorts each call's agree sets by the
@@ -153,7 +157,10 @@ func induceInserts(ctx context.Context, ix *pli.Index, from int, base *fd.Set, s
 	for _, f := range baseFDs {
 		tree.Add(f.Lhs, f.Rhs)
 	}
-	nonFds := deltaViolations(ix, from)
+	nonFds, err := deltaViolations(ctx, ix, from)
+	if err != nil {
+		return nil, err
+	}
 	sort.Slice(nonFds, func(i, j int) bool {
 		return bitset.CompareCardinalityDesc(nonFds[i], nonFds[j]) < 0
 	})
@@ -187,8 +194,8 @@ func induceInserts(ctx context.Context, ix *pli.Index, from int, base *fd.Set, s
 // records agree on attribute a iff both sit in the same non-singleton PLI
 // cluster, so the pairs sharing a cluster are enumerated, and the empty
 // agree set is added when some inserted record shares no cluster with some
-// other record.
-func deltaViolations(ix *pli.Index, from int) []bitset.Set {
+// other record. The context is checked every cancelStride partner visits.
+func deltaViolations(ctx context.Context, ix *pli.Index, from int) ([]bitset.Set, error) {
 	seen := bitset.NewHashSet(ix.NumCols)
 	ag := bitset.New(ix.NumCols)
 	// visited stamps partner rows per inserted record so a pair sharing
@@ -196,6 +203,7 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 	visited := make([]int, ix.NumRows)
 	var out []bitset.Set
 	disjoint := false
+	visits := 0
 	for r := from; r < ix.NumRows; r++ {
 		rec := ix.Row(r)
 		stamp := r + 1
@@ -207,6 +215,12 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 				continue
 			}
 			for _, s32 := range ix.Plis[a].Clusters[c] {
+				if visits%cancelStride == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				visits++
 				s := int(s32)
 				if visited[s] == stamp {
 					continue
@@ -229,5 +243,5 @@ func deltaViolations(ix *pli.Index, from int) []bitset.Set {
 	if disjoint {
 		out = append(out, bitset.New(ix.NumCols))
 	}
-	return out
+	return out, nil
 }

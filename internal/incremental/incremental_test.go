@@ -9,6 +9,7 @@ import (
 
 	"hyfd/internal/core"
 	"hyfd/internal/dataset"
+	"hyfd/internal/pli"
 	"hyfd/internal/relation"
 	"hyfd/internal/trace"
 )
@@ -238,5 +239,44 @@ func TestMaintainHonorsCancellation(t *testing.T) {
 				t.Fatalf("Maintain under a cancelled context: got %v, err %v; want context.Canceled", got, err)
 			}
 		})
+	}
+}
+
+// TestDeltaViolationsHonorsCancellation: the walk over the inserted
+// records' cluster partners stops at a cancelled context. The table is
+// sized so that the walk crosses a cancellation stride.
+func TestDeltaViolationsHonorsCancellation(t *testing.T) {
+	rel := relation.New("stride", []string{"k", "id"})
+	for r := 0; r < 100; r++ {
+		rel.AppendRow([]string{"k", fmt.Sprintf("r%d", r)})
+	}
+	var delta dataset.Delta
+	for r := 0; r < 50; r++ {
+		delta.Inserts = append(delta.Inserts, relation.Row{"k", fmt.Sprintf("n%d", r)})
+	}
+	ds, err := dataset.Prepare(context.Background(), rel, dataset.Options{Threads: 1})
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	snap, err := ds.Apply(context.Background(), delta)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	ix, from := snap.Index(), snap.Provenance().InsertedFrom
+	visits := 0
+	for r := from; r < ix.NumRows; r++ {
+		for a, c := range ix.Row(r) {
+			if c != pli.Singleton {
+				visits += len(ix.Plis[a].Clusters[c])
+			}
+		}
+	}
+	if visits <= cancelStride {
+		t.Fatalf("the walk makes %d partner visits, want more than %d", visits, cancelStride)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := deltaViolations(ctx, ix, from); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("deltaViolations under a cancelled context: %d agree sets, err %v; want context.Canceled", len(out), err)
 	}
 }

@@ -7,8 +7,8 @@ import (
 // Cache memoizes stripped partitions of attribute sets, building each one
 // by refining the partition of its canonical prefix. The lattice-traversal
 // baselines that compute partitions on demand (FUN's cardinality counter,
-// DFD's random walk), the ucc and afd searches and the validator's
-// intersection ablation share it. Not safe for concurrent use.
+// DFD's random walk) and the ucc and afd searches share it. Not safe for
+// concurrent use.
 type Cache struct {
 	plis  []*PLI
 	ref   *Refiner

@@ -82,7 +82,6 @@ type Sampler struct {
 	// every comparison looks its agree set up.
 	lookupRepeats bool
 	initialized   bool
-	unfocused     bool
 	threads       int
 	// efficiencies holds the current round's window efficiencies
 	// (WindowEfficiencies); each round starts a fresh slice.
@@ -102,9 +101,7 @@ type Sampler struct {
 	Windows int64
 }
 
-// Config parameterizes a Sampler. It replaces the former per-component
-// setters so the engine's single thread knob configures the sampler
-// atomically at construction time.
+// Config parameterizes a Sampler at construction time.
 type Config struct {
 	// Threshold is the initial sampling efficiency cutoff; any value <= 0
 	// picks DefaultEfficiencyThreshold.
@@ -114,11 +111,6 @@ type Config struct {
 	// 1 is sequential, any value <= 0 picks runtime.GOMAXPROCS(0). Every
 	// thread count produces the same observations in the same order.
 	Threads int
-	// Unfocused disables the neighborhood sortation of Fig. 3(1): windows
-	// then slide over clusters in raw record order. This ablation
-	// quantifies the contribution of focused sampling; it affects
-	// efficiency only, never correctness.
-	Unfocused bool
 }
 
 // New returns a Sampler over the preprocessed index.
@@ -136,7 +128,6 @@ func New(ix *pli.Index, cfg Config) *Sampler {
 		ix:        ix,
 		threshold: threshold,
 		threads:   threads,
-		unfocused: cfg.Unfocused,
 		seen:      bitset.NewHashSet(ix.NumCols),
 		sets:      [2]bitset.Set{bitset.New(ix.NumCols), bitset.New(ix.NumCols)},
 		budget:    n * (n - 1) / 2,
@@ -265,12 +256,6 @@ func (s *Sampler) compareAllPairs(ctx context.Context, newObs []bitset.Set) ([]b
 // checked once per attribute.
 func (s *Sampler) sortClusters(ctx context.Context) error {
 	s.sorted = make([][][]int32, s.ix.NumCols)
-	if s.unfocused {
-		for attr, p := range s.ix.Plis {
-			s.sorted[attr] = p.Clusters
-		}
-		return nil
-	}
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < min(s.threads, s.ix.NumCols); w++ {

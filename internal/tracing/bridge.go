@@ -75,7 +75,8 @@ func (b *bridge) Observe(e trace.Event) {
 		b.rec.Completed(SpanValidationLevel, b.parent, ev.Duration,
 			Int("level", ev.Level), Int("candidates", ev.Candidates),
 			Int("valid", ev.Valid), Int("invalid", ev.Invalid),
-			Int("suggestions", ev.Suggestions), Int("validations", ev.Validations))
+			Int("suggestions", ev.Suggestions), Int("validations", ev.Validations),
+			Int("refinements", ev.Refinements), Int("fallbacks", ev.Fallbacks))
 	case trace.GuardianPrune:
 		b.rec.Instant(SpanGuardianPrune, b.parent,
 			Int("max_lhs", ev.MaxLhs), Int("interventions", ev.Interventions),

@@ -223,7 +223,7 @@ func TestBridge(t *testing.T) {
 		trace.SamplingRound{Round: 1, NewObservations: 5, Comparisons: 100, Windows: 7, Threshold: 0.01,
 			Duration: time.Millisecond, Induction: 250 * time.Microsecond},
 		trace.PhaseSwitch{From: trace.PhaseSampling, To: trace.PhaseValidation, Switches: 0},
-		trace.ValidationLevel{Level: 2, Candidates: 9, Valid: 8, Invalid: 1, Suggestions: 3, Validations: 4, Duration: time.Millisecond},
+		trace.ValidationLevel{Level: 2, Candidates: 9, Valid: 8, Invalid: 1, Suggestions: 3, Validations: 4, Refinements: 5, Fallbacks: 1, Duration: time.Millisecond},
 		trace.GuardianPrune{MaxLhs: 3, Interventions: 1, FootprintBytes: 4096},
 		trace.Done{FDs: 42, Duration: time.Millisecond},
 		trace.DeltaApplied{Version: 2, Inserts: 3, Deletes: 1, Rows: 12, SharedAttrs: 0, Duration: time.Microsecond},
@@ -238,7 +238,7 @@ func TestBridge(t *testing.T) {
 		SpanPrepare:         {"rows": "10", "warm": "true"},
 		SpanSamplingRound:   {"round": "1", "new_observations": "5", "comparisons": "100", "windows": "7", "threshold": "0.01", "induction_ns": "250000"},
 		SpanPhaseSwitch:     {"from": "sampling", "to": "validation"},
-		SpanValidationLevel: {"level": "2", "candidates": "9", "valid": "8", "invalid": "1", "suggestions": "3", "validations": "4"},
+		SpanValidationLevel: {"level": "2", "candidates": "9", "valid": "8", "invalid": "1", "suggestions": "3", "validations": "4", "refinements": "5", "fallbacks": "1"},
 		SpanGuardianPrune:   {"max_lhs": "3", "interventions": "1", "footprint_bytes": "4096"},
 		SpanEngineDone:      {"fds": "42"},
 		SpanDeltaApply:      {"version": "2", "inserts": "3", "deletes": "1", "rows": "12"},

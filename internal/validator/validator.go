@@ -59,7 +59,6 @@ type Validator struct {
 	tree      *fdtree.Tree
 	threshold float64
 	threads   int
-	intersect bool
 	observer  trace.Observer
 	levelFn   func(level int, valid []fd.FD) bool
 	// rank is every attribute's position in ix.Order.
@@ -117,16 +116,6 @@ func WithObserver(o trace.Observer) Option {
 // callback runs on the coordinating goroutine, never concurrently.
 func WithLevelFunc(fn func(level int, valid []fd.FD) bool) Option {
 	return func(v *Validator) { v.levelFn = fn }
-}
-
-// WithIntersectionValidation replaces the validator's checks with classic
-// hierarchical PLI intersections (the TANE-style check, with a partition
-// cache). This ablation exists to measure what §8 claims a cache-free
-// validation buys: it forces sequential execution and retains every
-// intermediate partition, and the partition of every LHS ∪ {A}, trading
-// memory and time for nothing.
-func WithIntersectionValidation() Option {
-	return func(v *Validator) { v.intersect = true }
 }
 
 // New returns a Validator over the preprocessed index and candidate tree.
@@ -281,16 +270,11 @@ type refiner interface {
 
 // refiners returns n check implementations, one per worker goroutine,
 // building them on first use and reusing them across levels and runs.
-// Intersection validation shares one partition cache and runs
-// sequentially, so it has a single refiner.
 func (v *Validator) refiners(n int) []refiner {
 	for len(v.checkers) < n {
-		switch {
-		case v.intersect:
-			v.checkers = append(v.checkers, &intersectChecker{ix: v.ix, cache: pli.NewCache(v.ix)})
-		case v.direct:
+		if v.direct {
 			v.checkers = append(v.checkers, newChecker(v.ix))
-		default:
+		} else {
 			v.checkers = append(v.checkers, newWorker(v.ix, v.rank))
 		}
 	}
@@ -302,18 +286,13 @@ func (v *Validator) refiners(n int) []refiner {
 // (rankOrder), are cut into one contiguous share per worker, and each
 // worker visits its share in order, so nodes that share an LHS prefix share
 // its partitions. A node's result depends only on the node and the data,
-// never on the schedule. Intersection validation shares one partition cache
-// and therefore runs in one share. The context is re-checked between
-// nodes; on cancellation the partial results are discarded. It also
-// returns the level's partition products and the nodes it re-checked
-// directly.
+// never on the schedule. The context is re-checked between nodes; on
+// cancellation the partial results are discarded. It also returns the
+// level's partition products and the nodes it re-checked directly.
 func (v *Validator) validateLevel(ctx context.Context, level []fdtree.Node) ([]nodeResult, int, int, error) {
 	results := make([]nodeResult, len(level))
 	order := v.rankOrder(level)
 	shares := min(v.threads, len(order))
-	if v.intersect {
-		shares = min(1, len(order))
-	}
 	checkers := v.refiners(shares)
 	if shares == 1 {
 		validateShare(ctx, checkers[0], level, order, results)
@@ -586,7 +565,7 @@ func (ck *checker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.P
 			p := ix.Plis[rhs]
 			if p.IsConstant() {
 				valid.Set(rhs)
-			} else if pair, ok := constantViolation(p); ok {
+			} else if pair, ok := constantViolation(ix, rhs); ok {
 				suggestions = append(suggestions, pair)
 			}
 			return true
@@ -686,82 +665,23 @@ func sameGroup(a, b []int32, rest []int) bool {
 	return true
 }
 
-// constantViolation extracts a witness pair for a non-constant column: two
-// records with different values.
-func constantViolation(p *pli.PLI) (pli.Pair, bool) {
+// constantViolation extracts a witness pair for a non-constant column attr:
+// two records with different values.
+func constantViolation(ix *pli.Index, attr int) (pli.Pair, bool) {
+	p := ix.Plis[attr]
 	switch {
 	case len(p.Clusters) >= 2:
 		return pli.Pair{A: p.Clusters[0][0], B: p.Clusters[1][0]}, true
 	case len(p.Clusters) == 1 && len(p.Clusters[0]) < p.NumRows:
-		// One cluster plus at least one singleton: find a record outside
-		// the cluster.
-		in := make(map[int32]bool, len(p.Clusters[0]))
-		for _, r := range p.Clusters[0] {
-			in[r] = true
-		}
-		for r := int32(0); int(r) < p.NumRows; r++ {
-			if !in[r] {
-				return pli.Pair{A: p.Clusters[0][0], B: r}, true
+		// One cluster plus at least one singleton: the first record outside
+		// the cluster is the first whose id is Singleton.
+		for r := 0; r < ix.NumRows; r++ {
+			if ix.Row(r)[attr] == pli.Singleton {
+				return pli.Pair{A: p.Clusters[0][0], B: int32(r)}, true
 			}
 		}
 	case len(p.Clusters) == 0 && p.NumRows >= 2:
 		return pli.Pair{A: 0, B: 1}, true
-	}
-	return pli.Pair{}, false
-}
-
-// intersectChecker validates candidates with hierarchical PLI
-// intersections through a shared partition cache — the strategy of the
-// lattice-traversal baselines, whose cache and LHS ∪ {A} partitions HyFD's
-// validation (§8) avoids.
-type intersectChecker struct {
-	ix    *pli.Index
-	cache *pli.Cache
-}
-
-func (c *intersectChecker) refines(lhs bitset.Set, rhss bitset.Set) (bitset.Set, []pli.Pair) {
-	valid := bitset.New(c.ix.NumCols)
-	var suggestions []pli.Pair
-	if lhs.IsEmpty() {
-		rhss.ForEach(func(rhs int) bool {
-			p := c.ix.Plis[rhs]
-			if p.IsConstant() {
-				valid.Set(rhs)
-			} else if pair, ok := constantViolation(p); ok {
-				suggestions = append(suggestions, pair)
-			}
-			return true
-		})
-		return valid, suggestions
-	}
-	lp := c.cache.Partition(lhs)
-	lhsErr := lp.Error()
-	rhss.ForEach(func(rhs int) bool {
-		rp := c.cache.Partition(lhs.With(rhs))
-		if rp.Error() == lhsErr {
-			valid.Set(rhs)
-			return true
-		}
-		if pair, ok := violationWitness(c.ix, lp, rhs); ok {
-			suggestions = append(suggestions, pair)
-		}
-		return true
-	})
-	return valid, suggestions
-}
-
-// violationWitness locates two records of one LHS cluster with different
-// RHS values.
-func violationWitness(ix *pli.Index, lp *pli.Partition, rhs int) (pli.Pair, bool) {
-	for _, cluster := range lp.Clusters {
-		first := cluster[0]
-		fid := ix.Row(int(first))[rhs]
-		for _, rec := range cluster[1:] {
-			cid := ix.Row(int(rec))[rhs]
-			if cid == pli.Singleton || fid == pli.Singleton || cid != fid {
-				return pli.Pair{A: first, B: rec}, true
-			}
-		}
 	}
 	return pli.Pair{}, false
 }

@@ -335,42 +335,6 @@ func TestValidatorOnEmptyTreeLevels(t *testing.T) {
 	}
 }
 
-// TestIntersectionValidationMatchesDirect: the ablation checker must agree
-// with the direct refinement checks and with brute force.
-func TestIntersectionValidationMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 15; trial++ {
-		rel := randomRelation(r, 5+r.Intn(40), 2+r.Intn(4), 1+r.Intn(4))
-		ix := pli.NewIndex(rel, relation.NullEqualsNull)
-		ind := inductor.New(rel.NumCols())
-		v := New(ix, ind.Tree(), WithIntersectionValidation())
-		if !run(t, v, true).Done {
-			t.Fatal("intersection run did not finish")
-		}
-		got := ind.Tree().FDs()
-		want := fd.BruteForce(rel, relation.NullEqualsNull)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d:\nmissing: %v\nextra: %v", trial, want.Diff(got), got.Diff(want))
-		}
-	}
-}
-
-// TestIntersectionSuggestionsAreViolations: witnesses extracted from
-// partitions must actually violate some candidate.
-func TestIntersectionSuggestionsAreViolations(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	rel := randomRelation(r, 50, 5, 2)
-	ix := pli.NewIndex(rel, relation.NullEqualsNull)
-	ind := inductor.New(rel.NumCols())
-	v := New(ix, ind.Tree(), WithIntersectionValidation(), WithInvalidThreshold(0.001))
-	res := run(t, v, false)
-	for _, p := range res.Suggestions {
-		if p.A == p.B || int(p.A) >= rel.NumRows() || int(p.B) >= rel.NumRows() {
-			t.Fatalf("bogus suggestion %+v", p)
-		}
-	}
-}
-
 func TestRunCanceledContext(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	rel := randomRelation(r, 60, 6, 2)

@@ -10,6 +10,7 @@ import (
 	"hyfd/internal/afd"
 	"hyfd/internal/algorithms"
 	"hyfd/internal/core"
+	"hyfd/internal/fd"
 	"hyfd/internal/incremental"
 	"hyfd/internal/metrics"
 	"hyfd/internal/trace"
@@ -274,6 +275,10 @@ func runFD(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Most baselines add their FDs out of canonical order, which leaves the
+	// set holding them behind a key map; rewrapping its sorted cover holds
+	// it once, and shares an already canonical one without a copy.
+	set = fd.NewCanonicalSet(set.Universe(), set.Sorted())
 	stats := auxiliaryStats(ds, opts.MaxLhsSize, warm, start)
 	stats.FDCount = set.Size()
 	return &Result{FDs: set.Sorted(), Set: set, Stats: stats}, nil

@@ -132,12 +132,11 @@ func TestRunColdStatsIncludePreprocessing(t *testing.T) {
 	}
 }
 
-// TestRunHoldsCoverOnce: a fd-mode Result whose cover comes out of an
-// FDTree, as HyFD's and Fdep's do, lists the cover of its Set without a
-// copy, in the Set's order.
+// TestRunHoldsCoverOnce: every algorithm's fd-mode Result lists the cover
+// of its Set without a copy, in the Set's order.
 func TestRunHoldsCoverOnce(t *testing.T) {
 	rel := syntheticRelation(8, 5, 4, 7)
-	for _, alg := range []string{"", "Fdep"} {
+	for _, alg := range hyfd.Algorithms() {
 		res, err := hyfd.Run(context.Background(), hyfd.Request{Relation: rel, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
